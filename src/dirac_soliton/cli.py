@@ -317,23 +317,11 @@ def _cmd_decay(args, sections) -> int:
 
 
 def _cmd_scatter(args, sections) -> int:
-    from dataclasses import asdict
-
     cfg = _run_config("scatter", args, sections)
     from .experiments import run_scattering
 
     rep = run_scattering(cfg)
-    _emit({
-        "v_plus": list(map(float, rep.v_plus)),
-        "a_plus": list(map(float, rep.a_plus)),
-        "captured": rep.captured,
-        "tracking_failed_at": rep.tracking_failed_at,
-        "qdot_exponent": rep.qdot_exponent,
-        "z_fit": asdict(rep.z_fit) if rep.z_fit is not None else None,
-        "phi_times": list(map(float, rep.phi_times)),
-        "phi_cauchy": list(map(float, rep.phi_cauchy)),
-        "remainder": rep.remainder,
-    })
+    _emit(rep.summary())
     _require(rep.captured, "state left the modulation tube (no capture)",
              args.check)
     _require(rep.z_fit is not None and rep.z_fit.exponent <= -1.0,

@@ -21,7 +21,7 @@ from .field_grid import (
     FOURIER,
     GridSpec,
     SpinorField,
-    apply_alpha_dot_k,
+    dirac_symbol,
     free_propagate,
     spectral_derivative,
     weighted_norm,
@@ -99,8 +99,7 @@ def hamiltonian(Y: PhaseState, rho: ChargeDensity) -> float:
     Yk = Y.to_fourier()
     grid = Y.grid
     d = Yk.psi.data
-    Dd = -apply_alpha_dot_k(d, grid) \
-        + rho.mass * np.tensordot(_DIRAC.beta, d, axes=(1, 0))
+    Dd = dirac_symbol(d, grid, rho.mass)
     field_term = 0.5 * float(np.real(np.sum(np.conj(d) * Dd))) * grid.dk**3
     src = rho.fourier(grid.k2) * grid.phase_shift(Yk.q)
     coupling = float(np.real(np.sum(np.conj(d[0]) * src))) * grid.dk**3
@@ -182,8 +181,19 @@ class Trajectory:
         return self.p / gam[:, None]
 
 
+def is_whole_multiple(t: float, dt: float) -> bool:
+    """Whether t / dt is an integer, to 1e-9 relative."""
+    n = t / dt
+    return abs(n - round(n)) <= 1e-9 * n
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
+    """Integrator settings. t_final must be a whole multiple of dt. The
+    sample clock is not: sample_every is rounded to the nearest whole
+    number of steps (at least one), and each sample's actual time is
+    recorded in Trajectory.sample_times."""
+
     dt: float = 0.02
     t_final: float = 10.0
     track_modulation: bool = False
@@ -195,6 +205,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        if not is_whole_multiple(self.t_final, self.dt):
+            raise ValueError(f"t_final = {self.t_final} is not a whole "
+                             f"multiple of dt = {self.dt}")
         if self.sample_every < self.dt:
             raise ValueError("sample_every must be at least dt")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .coupled_dynamics import (
     SimulationConfig,
     Trajectory,
     extract_scattering_data,
+    is_whole_multiple,
 )
 from .coupled_dynamics import simulate as _simulate
 from .field_grid import (
@@ -59,6 +61,13 @@ SNAPSHOT_FORMAT = {
     "shape": "(N, N, N, 4), C order: row-major grid, spinor index fastest",
     "space": "position",
 }
+
+# perturbed_soliton's bump: Gaussian width, and the largest offset of its
+# center from b along each axis
+_BUMP_WIDTH = 1.2
+_BUMP_OFFSET = 1.5
+
+_log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -106,6 +115,9 @@ class RunConfig:
             raise ConfigError("charge parameters must be positive")
         if self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("dt and T must be positive")
+        if not is_whole_multiple(self.t_final, self.dt):
+            raise ConfigError(f"T = {self.t_final} is not a whole multiple "
+                              f"of dt = {self.dt}")
         if self.sample_every < self.dt:
             raise ConfigError("sample_every must be at least dt")
         if self.nu < 0:
@@ -198,6 +210,16 @@ def decay_validity_time(config: RunConfig) -> float:
     support = float(np.linalg.norm(config.packet_center)) \
         + 4.0 * config.packet_width
     return 0.5 * config.grid_L - support
+
+
+def scattering_validity_time(config: RunConfig) -> float:
+    """Last time before radiation from perturbed_soliton's bump wraps
+    around the periodic box: L/2 minus the bump's reach |b| + sqrt(3)
+    * _BUMP_OFFSET + 4 * _BUMP_WIDTH. Past it the transversal and phi_+ fits
+    measure recurrence."""
+    reach = float(np.linalg.norm(config.b)) + np.sqrt(3.0) * _BUMP_OFFSET \
+        + 4.0 * _BUMP_WIDTH
+    return 0.5 * config.grid_L - reach
 
 
 def free_decay_series(config: RunConfig, n_samples: int = 41):
@@ -297,9 +319,10 @@ def perturbed_soliton(params: SolitonParams, rho: ChargeDensity,
     rng = np.random.default_rng(seed)
     spinor = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     spinor /= np.linalg.norm(spinor)
-    center = np.asarray(params.b, dtype=float) + rng.uniform(-1.5, 1.5, 3)
-    bump = gaussian_packet(grid, width=1.2, center=center, spinor=spinor,
-                           amplitude=epsilon).to_fourier()
+    center = np.asarray(params.b, dtype=float) \
+        + rng.uniform(-_BUMP_OFFSET, _BUMP_OFFSET, 3)
+    bump = gaussian_packet(grid, width=_BUMP_WIDTH, center=center,
+                           spinor=spinor, amplitude=epsilon).to_fourier()
     dp = epsilon * 0.4 * rng.standard_normal(3)
     Z0 = PhaseState(bump, np.zeros(3), dp)
     if epsilon > 0:
@@ -320,6 +343,24 @@ class ScatteringReport:
     phi_cauchy: np.ndarray             # ||phi_+(t_{i+1}) - phi_+(t_i)||_0
     remainder: float                   # outgoing-wave remainder at T
     trajectory: Trajectory
+    validity_time: float               # scattering_validity_time
+    phi_dropped: np.ndarray            # times whose phi_+ projection failed
+
+    def summary(self) -> dict:
+        """The JSON-ready report (report.json and the CLI output)."""
+        return {
+            "v_plus": list(map(float, self.v_plus)),
+            "a_plus": list(map(float, self.a_plus)),
+            "captured": self.captured,
+            "tracking_failed_at": self.tracking_failed_at,
+            "qdot_exponent": self.qdot_exponent,
+            "z_fit": asdict(self.z_fit) if self.z_fit is not None else None,
+            "phi_times": list(map(float, self.phi_times)),
+            "phi_cauchy": list(map(float, self.phi_cauchy)),
+            "phi_dropped": list(map(float, self.phi_dropped)),
+            "remainder": self.remainder,
+            "validity_time": self.validity_time,
+        }
 
 
 def _phi_plus_estimate(psi: SpinorField, q, p, t: float,
@@ -337,6 +378,11 @@ def _phi_plus_estimate(psi: SpinorField, q, p, t: float,
 
 def run_scattering(config: RunConfig) -> ScatteringReport:
     grid, rho = config.grid, config.rho
+    valid = scattering_validity_time(config)
+    if config.t_final > valid:
+        _log.warning("T = %g runs past the wrap-around time %.2f (L/2 minus "
+                     "the perturbation's reach); later fits see radiation "
+                     "re-entering the periodic box", config.t_final, valid)
     params = SolitonParams(config.b_vec, config.v_vec)
     Y0 = perturbed_soliton(params, rho, grid, config.epsilon,
                            seed=config.seed)
@@ -357,20 +403,23 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
             pass
 
     # outgoing-field estimates at the snapshot times plus the final time
-    phi_times, phis = [], []
-    for t, snap in zip(traj.field_times, traj.fields):
-        i = int(round(t / config.dt))
-        est = _phi_plus_estimate(snap, traj.q[i], traj.p[i], t, rho)
-        if est is not None:
+    phi_times, phis, dropped = [], [], []
+
+    def estimate(psi, q, p, t):
+        est = _phi_plus_estimate(psi, q, p, t, rho)
+        if est is None:
+            dropped.append(t)
+        else:
             phi_times.append(t)
             phis.append(est)
+
+    for t, snap in zip(traj.field_times, traj.fields):
+        i = int(round(t / config.dt))
+        estimate(snap, traj.q[i], traj.p[i], t)
     T = float(traj.times[-1])
     if not phi_times or phi_times[-1] < T - 0.5 * config.dt:
-        est = _phi_plus_estimate(traj.final_state.psi, traj.final_state.q,
-                                 traj.final_state.p, T, rho)
-        if est is not None:
-            phi_times.append(T)
-            phis.append(est)
+        final = traj.final_state
+        estimate(final.psi, final.q, final.p, T)
     cauchy = np.array([(phis[i + 1] - phis[i]).norm()
                        for i in range(len(phis) - 1)])
 
@@ -391,21 +440,12 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
         tracking_failed_at=traj.tracking_failed_at,
         qdot_exponent=data.qdot_exponent, z_fit=z_fit,
         phi_times=np.asarray(phi_times), phi_cauchy=cauchy,
-        remainder=remainder, trajectory=traj)
+        remainder=remainder, trajectory=traj, validity_time=valid,
+        phi_dropped=np.asarray(dropped))
     if config.out_dir is not None:
         out = _prepare_out_dir(config)
         write_trajectory_outputs(out, config, traj)
-        _write_json(out / "report.json", {
-            "v_plus": list(map(float, data.v_plus)),
-            "a_plus": list(map(float, data.a_plus)),
-            "captured": captured,
-            "tracking_failed_at": traj.tracking_failed_at,
-            "qdot_exponent": data.qdot_exponent,
-            "z_fit": asdict(z_fit) if z_fit is not None else None,
-            "phi_times": list(map(float, report.phi_times)),
-            "phi_cauchy": list(map(float, cauchy)),
-            "remainder": remainder,
-        })
+        _write_json(out / "report.json", report.summary())
     return report
 
 

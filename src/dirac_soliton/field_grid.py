@@ -76,12 +76,16 @@ class GridSpec:
         s = np.where(np.arange(self.N) % 2 == 0, 1.0, -1.0)
         return s[:, None, None] * s[None, :, None] * s[None, None, :]
 
+    def k_dot(self, a) -> np.ndarray:
+        """k . a on the k-grid for a 3-vector a."""
+        a = np.asarray(a, dtype=float)
+        k1, k2_, k3 = self.k_axes
+        return k1 * a[0] + k2_ * a[1] + k3 * a[2]
+
     def phase_shift(self, a) -> np.ndarray:
         """e^{i k . a} on the k-grid (multiplying f_hat translates f by +a:
         F[f(. - a)](k) = e^{i k.a} f_hat(k), so use -a to shift by a)."""
-        a = np.asarray(a, dtype=float)
-        k1, k2_, k3 = self.k_axes
-        return np.exp(1j * (k1 * a[0] + k2_ * a[1] + k3 * a[2]))
+        return np.exp(1j * self.k_dot(a))
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,9 @@ def zero_field(grid: GridSpec, space: str = POSITION) -> SpinorField:
 
 def apply_alpha_dot_k(data: np.ndarray, grid: GridSpec,
                       d: DiracMatrices = _DIRAC) -> np.ndarray:
-    """(alpha . k) f_hat, on shape-(4,N,N,N) Fourier data."""
+    """(alpha . k) f_hat, on shape-(4,N,N,N) Fourier data, by dense 4x4
+    products. Kept as the test oracle for the block formulas; production
+    code applies the Dirac symbol through dirac_symbol()."""
     k1, k2_, k3 = grid.k_axes
     out = np.tensordot(d.alpha1, data, axes=(1, 0)) * k1
     out += np.tensordot(d.alpha2, data, axes=(1, 0)) * k2_
@@ -166,12 +172,31 @@ def apply_alpha_dot_k(data: np.ndarray, grid: GridSpec,
     return out
 
 
+def dirac_symbol(data: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
+    """D(k) f_hat with D(k) = -alpha.k + beta m, on shape-(4,N,N,N) Fourier
+    data. In the 2x2-block form f = (u, d) this is
+        D(k) f = (m u - (sigma.k) d, -(sigma.k) u - m d),
+    with sigma.k = [[k3, k1 - i k2], [k1 + i k2, -k3]]."""
+    k1, k2_, k3 = grid.k_axes
+    k_minus, k_plus = k1 - 1j * k2_, k1 + 1j * k2_
+    out = np.empty(data.shape, dtype=complex)
+    out[0] = m * data[0] - (k3 * data[2] + k_minus * data[3])
+    out[1] = m * data[1] - (k_plus * data[2] - k3 * data[3])
+    out[2] = -(k3 * data[0] + k_minus * data[1]) - m * data[2]
+    out[3] = -(k_plus * data[0] - k3 * data[1]) - m * data[3]
+    return out
+
+
+def _in_space_of(psi: SpinorField, data: np.ndarray) -> SpinorField:
+    """Fourier data as a field in the representation psi came in."""
+    out = SpinorField(psi.grid, data, FOURIER)
+    return out.to_position() if psi.space == POSITION else out
+
+
 def spectral_derivative(psi: SpinorField, axis: int) -> SpinorField:
     """d_axis psi computed spectrally (multiplier -i*k_axis)."""
     hat = psi.to_fourier()
-    k = hat.grid.k_axes[axis]
-    out = SpinorField(hat.grid, -1j * k * hat.data, FOURIER)
-    return out.to_position() if psi.space == POSITION else out
+    return _in_space_of(psi, -1j * hat.grid.k_axes[axis] * hat.data)
 
 
 def free_propagate(psi: SpinorField, t: float, m: float) -> SpinorField:
@@ -186,11 +211,9 @@ def free_propagate(psi: SpinorField, t: float, m: float) -> SpinorField:
     hat = psi.to_fourier()
     g = hat.grid
     w = np.sqrt(g.k2 + m * m)
-    Dpsi = -apply_alpha_dot_k(hat.data, g) \
-        + m * np.tensordot(_DIRAC.beta, hat.data, axes=(1, 0))
-    data = np.cos(w * t) * hat.data - 1j * (np.sin(w * t) / w) * Dpsi
-    out = SpinorField(g, data, FOURIER)
-    return out.to_position() if psi.space == POSITION else out
+    Dpsi = dirac_symbol(hat.data, g, m)
+    return _in_space_of(psi, np.cos(w * t) * hat.data
+                        - 1j * (np.sin(w * t) / w) * Dpsi)
 
 
 def moving_frame_propagate(psi: SpinorField, t: float, v,
@@ -205,11 +228,7 @@ def moving_frame_propagate(psi: SpinorField, t: float, v,
     if np.linalg.norm(v) >= 1.0:
         raise ValueError("|v| must be < 1")
     hat = free_propagate(psi.to_fourier(), t, m)
-    g = hat.grid
-    k1, k2_, k3 = g.k_axes
-    phase = np.exp(-1j * t * (v[0] * k1 + v[1] * k2_ + v[2] * k3))
-    out = SpinorField(g, phase * hat.data, FOURIER)
-    return out.to_position() if psi.space == POSITION else out
+    return _in_space_of(psi, hat.grid.phase_shift(-t * v) * hat.data)
 
 
 def weighted_norm(psi: SpinorField, nu: float) -> float:
@@ -223,8 +242,7 @@ def weighted_norm(psi: SpinorField, nu: float) -> float:
 def shift_field(psi: SpinorField, a) -> SpinorField:
     """Band-limited translation psi(. - a) via the k-space phase e^{i k.a}."""
     hat = psi.to_fourier()
-    out = SpinorField(hat.grid, hat.grid.phase_shift(a) * hat.data, FOURIER)
-    return out.to_position() if psi.space == POSITION else out
+    return _in_space_of(psi, hat.grid.phase_shift(a) * hat.data)
 
 
 def gaussian_packet(grid: GridSpec, width: float = 1.5, center=(0.0, 0.0, 0.0),

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import exp1
 
-from .field_grid import FOURIER, GridSpec, SpinorField, apply_alpha_dot_k
+from .field_grid import FOURIER, GridSpec, SpinorField, dirac_symbol
 from .phase_space import PhaseState
 from .quadrature import QuadResult, gauss_panels_1d, tensor_trapezoid_3d
 from .soliton_manifold import (
@@ -146,8 +146,7 @@ def linearized_operator(v, w, rho: ChargeDensity,
     if float(v @ v) >= 1.0:
         raise ValueError("|v| must be < 1")
     rho_hat = rho.fourier(grid.k2)
-    k1, k2, k3 = grid.k_axes
-    wk = w[0] * k1 + w[1] * k2 + w[2] * k3
+    wk = grid.k_dot(w)
     psi0 = soliton_field_hat(v, rho, grid)[0]
     dk3 = grid.dk**3
     ks = grid.k_axes
@@ -169,12 +168,8 @@ def apply_A(op: LinearizedOperator, Z: PhaseState) -> PhaseState:
     Zk = Z.to_fourier()
     g = op.grid
     data = Zk.psi.data
-    m = op.rho.mass
-    field = 1j * (apply_alpha_dot_k(data, g) - op.wk * data
-                  - m * np.tensordot(_DIRAC.beta, data, axes=(1, 0)))
-    k1, k2, k3 = g.k_axes
-    qk = Zk.q[0] * k1 + Zk.q[1] * k2 + Zk.q[2] * k3
-    field[0] += qk * op.rho_hat
+    field = -1j * (dirac_symbol(data, g, op.rho.mass) + op.wk * data)
+    field[0] += g.k_dot(Zk.q) * op.rho_hat
     dk3 = g.dk**3
     lin = np.array([
         dk3 * float(np.real(np.sum(data[0].conj() * (-1j * g.k_axes[l])
@@ -586,7 +581,7 @@ def _green_block_apply(grid: GridSpec, v: np.ndarray, rho: ChargeDensity,
     k-grid. G21 = -G12 and G22 = G11."""
     k1, k2, k3 = grid.k_axes
     m = rho.mass
-    vk = v[0] * k1 + v[1] * k2 + v[2] * k3
+    vk = grid.k_dot(v)
     den = grid.k2 + m * m + (1j * vk + lam) ** 2
 
     def g11(X):
@@ -632,9 +627,8 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
     grid = Psi0.grid
     x1, x2 = _real_pair_hat(Psi0)
     g11, g12 = _green_block_apply(grid, v, rho, complex(0.0))
-    k1, k2, k3 = grid.k_axes
     m = rho.mass
-    vk = v[0] * k1 + v[1] * k2 + v[2] * k3
+    vk = grid.k_dot(v)
     den = grid.k2 + m * m - vk**2
     u1 = (x1 + 2j * vk * (g11(x1) + g12(x2))) / den
     rho_hat = rho.fourier(grid.k2)

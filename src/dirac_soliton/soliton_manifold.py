@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_grid import FOURIER, GridSpec, SpinorField, apply_alpha_dot_k
+from .field_grid import FOURIER, GridSpec, SpinorField, dirac_symbol
 from .phase_space import PhaseState
 from .spinor_algebra import ChargeDensity, build_dirac_matrices
-
-_DIRAC = build_dirac_matrices()
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,6 @@ def momentum_jacobian(v) -> np.ndarray:
     return g * np.eye(3) + g**3 * np.outer(v, v)
 
 
-def _vdotk(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    k1, k2, k3 = grid.k_axes
-    return v[0] * k1 + v[1] * k2 + v[2] * k3
-
-
 def _rho_spinor_hat(grid: GridSpec, rho: ChargeDensity) -> np.ndarray:
     """rho_hat as a (4,N,N,N) spinor array on the k-grid (component 1 only)."""
     out = np.zeros((4, grid.N, grid.N, grid.N), dtype=complex)
@@ -90,12 +83,10 @@ def soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
     if np.linalg.norm(v) >= 1.0:
         raise ValueError("|v| must be < 1")
     m = rho.mass
-    vk = _vdotk(grid, v)
-    D = grid.k2 + m * m - vk**2
+    vk = grid.k_dot(v)
+    den = grid.k2 + m * m - vk**2
     rs = _rho_spinor_hat(grid, rho)
-    num = vk * rs + apply_alpha_dot_k(rs, grid) \
-        - m * np.tensordot(_DIRAC.beta, rs, axes=(1, 0))
-    return num / D
+    return (vk * rs - dirac_symbol(rs, grid, m)) / den
 
 
 def soliton_field(v, rho: ChargeDensity, grid: GridSpec,
@@ -113,7 +104,7 @@ def dv_soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec,
     """
     v = np.asarray(v, dtype=float)
     m = rho.mass
-    vk = _vdotk(grid, v)
+    vk = grid.k_dot(v)
     D = grid.k2 + m * m - vk**2
     kj = grid.k_axes[j]
     rs = _rho_spinor_hat(grid, rho)
@@ -184,21 +175,22 @@ def force_balance(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _stationary_residual(psi_hat: np.ndarray, v, rho: ChargeDensity,
+                         grid: GridSpec) -> float:
+    """||(-v.k - D(k)) psi_hat - rho_hat|| / ||rho_hat|| on the k-grid."""
+    rs = _rho_spinor_hat(grid, rho)
+    res = -grid.k_dot(v) * psi_hat - dirac_symbol(psi_hat, grid, rho.mass) - rs
+    return float(np.sqrt(np.sum(np.abs(res) ** 2))
+                 / np.sqrt(np.sum(np.abs(rs) ** 2)))
+
+
 def stationary_residual_on_grid(v, rho: ChargeDensity, grid: GridSpec) -> float:
     """Residual of the stationary equation applied spectrally on the same
     grid the soliton was built on, relative to ||rho||. The construction
     inverts the operator exactly per mode, so this is a transcription
     identity and sits at rounding level; it catches sign or convention
     errors, not discretization error."""
-    v = np.asarray(v, dtype=float)
-    m = rho.mass
-    psi_hat = soliton_field_hat(v, rho, grid)
-    vk = _vdotk(grid, v)
-    lhs = -vk * psi_hat + apply_alpha_dot_k(psi_hat, grid) \
-        - m * np.tensordot(_DIRAC.beta, psi_hat, axes=(1, 0))
-    res = lhs - _rho_spinor_hat(grid, rho)
-    den = np.sqrt(np.sum(np.abs(_rho_spinor_hat(grid, rho)) ** 2))
-    return float(np.sqrt(np.sum(np.abs(res) ** 2)) / den)
+    return _stationary_residual(soliton_field_hat(v, rho, grid), v, rho, grid)
 
 
 def stationary_residual(v, rho: ChargeDensity, grid: GridSpec) -> float:
@@ -212,8 +204,6 @@ def stationary_residual(v, rho: ChargeDensity, grid: GridSpec) -> float:
     spectral truncation error of the source and decays with the Gaussian
     tail of rho_hat as N grows.
     """
-    v = np.asarray(v, dtype=float)
-    m = rho.mass
     fine = GridSpec(grid.L, 2 * grid.N)
     psi_c = soliton_field_hat(v, rho, grid)
 
@@ -223,14 +213,7 @@ def stationary_residual(v, rho: ChargeDensity, grid: GridSpec) -> float:
     half = n // 2
     idx = np.concatenate([np.arange(half), np.arange(fine.N - half, fine.N)])
     psi_f[np.ix_(range(4), idx, idx, idx)] = psi_c
-
-    vk = _vdotk(fine, v)
-    lhs = -vk * psi_f + apply_alpha_dot_k(psi_f, fine) \
-        - m * np.tensordot(_DIRAC.beta, psi_f, axes=(1, 0))
-    res = lhs - _rho_spinor_hat(fine, rho)
-    num = np.sqrt(np.sum(np.abs(res) ** 2))
-    den = np.sqrt(np.sum(np.abs(_rho_spinor_hat(fine, rho)) ** 2))
-    return float(num / den)
+    return _stationary_residual(psi_f, v, rho, fine)
 
 
 def soliton_field_direct(points, v, rho: ChargeDensity,

@@ -122,8 +122,3 @@ def wiener_B(k: np.ndarray, rho: ChargeDensity) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     k2 = np.sum(k * k, axis=-1)
     return rho.mass * rho.fourier(k2) ** 2
-
-
-def wiener_B_from_k2(k2, rho: ChargeDensity):
-    """B(k) as a function of |k|^2, for quadrature integrands."""
-    return rho.mass * rho.fourier(k2) ** 2

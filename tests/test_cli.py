@@ -196,3 +196,10 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["orbit"])
     assert exc.value.code == 2
+
+
+def test_t_off_the_step_grid_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, TINY.replace("N = 16", "N = 8")
+                 .replace("dt = 0.05", "dt = 0.3"))
+    assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
+    assert "whole multiple" in capsys.readouterr().err

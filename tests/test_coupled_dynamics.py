@@ -242,3 +242,12 @@ def test_config_validation():
         SimulationConfig(dt=-0.1)
     with pytest.raises(ValueError):
         SimulationConfig(dt=0.5, sample_every=0.1)
+
+
+def test_config_rejects_t_final_off_the_step_grid():
+    # 1.0 / 0.3 steps would silently end the run at t = 0.9
+    with pytest.raises(ValueError, match="whole multiple"):
+        SimulationConfig(dt=0.3, t_final=1.0)
+    with pytest.raises(ValueError, match="whole multiple"):
+        SimulationConfig(dt=0.02, t_final=0.01, sample_every=0.02)
+    SimulationConfig(dt=0.1, t_final=0.3)      # 2.9999999999999996 steps

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from dirac_soliton import experiments
 from dirac_soliton.experiments import (
     ConfigError,
     RunConfig,
@@ -17,11 +18,12 @@ from dirac_soliton.experiments import (
     run_free_decay,
     run_scattering,
     run_soliton_persistence,
+    scattering_validity_time,
 )
 from dirac_soliton.field_grid import GridSpec
 from dirac_soliton.soliton_manifold import SolitonParams, soliton_state, tangent_basis
 from dirac_soliton.spinor_algebra import ChargeDensity
-from dirac_soliton.symplectic_geometry import omega
+from dirac_soliton.symplectic_geometry import ProjectionError, omega
 
 RHO = ChargeDensity()
 
@@ -257,3 +259,53 @@ def test_scattering_writes_report(tmp_path):
     assert (tmp_path / "particle.csv").is_file()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["epsilon"] == 0.05
+
+
+def test_run_config_rejects_t_off_the_step_grid():
+    with pytest.raises(ConfigError, match="whole multiple"):
+        RunConfig(dt=0.3, t_final=1.0)
+
+
+def test_scattering_validity_time():
+    assert scattering_validity_time(_scatter_config()) == pytest.approx(
+        10.0 - 1.5 * np.sqrt(3.0) - 4.8)
+    assert scattering_validity_time(_scatter_config(b=(0.0, 3.0, 4.0))) \
+        == pytest.approx(10.0 - 5.0 - 1.5 * np.sqrt(3.0) - 4.8)
+
+
+def test_scattering_past_wrap_around_warns_and_records(tmp_path, caplog):
+    # L = 16 leaves 8 - 7.40 = 0.60 before the bump's radiation re-enters
+    cfg = _scatter_config(grid_L=16.0, out_dir=str(tmp_path))
+    with caplog.at_level("WARNING", logger="dirac_soliton.experiments"):
+        rep = run_scattering(cfg)
+    assert rep.validity_time == pytest.approx(0.60, abs=0.01)
+    assert rep.validity_time == scattering_validity_time(cfg)
+    assert any("wrap-around" in r.getMessage() for r in caplog.records)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["validity_time"] == rep.validity_time
+
+
+def test_scattering_inside_wrap_around_does_not_warn(caplog):
+    with caplog.at_level("WARNING", logger="dirac_soliton.experiments"):
+        rep = run_scattering(_scatter_config())
+    assert rep.validity_time == pytest.approx(2.60, abs=0.01)
+    assert not caplog.records
+
+
+def test_scattering_records_dropped_phi_plus(tmp_path, monkeypatch):
+    real = experiments.project_to_manifold
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ProjectionError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "project_to_manifold", fail_once)
+    rep = run_scattering(_scatter_config(out_dir=str(tmp_path)))
+    assert rep.phi_dropped.tolist() == [0.0]
+    assert 0.0 not in rep.phi_times
+    assert rep.phi_times.size == len(calls) - 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["phi_dropped"] == [0.0]

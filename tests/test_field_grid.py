@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_soliton.field_grid import (
     FOURIER,
     GridSpec,
     SpinorField,
+    dirac_symbol,
     free_propagate,
     gaussian_packet,
     moving_frame_propagate,
@@ -13,6 +15,7 @@ from dirac_soliton.field_grid import (
     weighted_norm,
     zero_field,
 )
+from dirac_soliton.spinor_algebra import build_dirac_matrices
 
 GRID = GridSpec(L=20.0, N=32)
 
@@ -165,3 +168,46 @@ def test_grid_validation():
         GridSpec(L=-1.0, N=16)
     with pytest.raises(ValueError):
         GridSpec(L=10.0, N=15)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the grid multipliers over random grids, masses and data.
+# ---------------------------------------------------------------------------
+
+GRIDS = st.builds(GridSpec, L=st.floats(1.0, 100.0),
+                  N=st.sampled_from([2, 4, 6, 8]))
+MASSES = st.floats(0.01, 10.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _spinor_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (4, grid.N, grid.N, grid.N)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, m=MASSES, seed=SEEDS)
+def test_dirac_symbol_matches_dense_matrices(grid, m, seed):
+    data = _spinor_data(grid, seed)
+    d = build_dirac_matrices()
+    dense = m * np.einsum("ab,bxyz->axyz", d.beta, data)
+    for alpha, k in zip(d.alphas, grid.k_axes):
+        dense -= k * np.einsum("ab,bxyz->axyz", alpha, data)
+    err = np.linalg.norm(dirac_symbol(data, grid, m) - dense)
+    assert err <= 1e-14 * np.linalg.norm(dense)
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, m=MASSES, seed=SEEDS)
+def test_dirac_symbol_squares_to_k2_plus_m2(grid, m, seed):
+    data = _spinor_data(grid, seed)
+    twice = dirac_symbol(dirac_symbol(data, grid, m), grid, m)
+    expected = (grid.k2 + m * m) * data
+    assert np.linalg.norm(twice - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, a=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+def test_phase_shift_is_exp_of_k_dot(grid, a):
+    assert np.array_equal(grid.phase_shift(a), np.exp(1j * grid.k_dot(a)))
