@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,12 @@ class RunConfig:
         if self.initial not in INITIAL_KINDS:
             raise ConfigError(f"unknown initial-data type {self.initial!r}; "
                               f"expected one of {INITIAL_KINDS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) or value is None:
+                continue
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ConfigError(f"{f.name} = {value!r} is not finite")
         if self.grid_L <= 0 or self.grid_N < 2 or self.grid_N % 2:
             raise ConfigError("grid needs L > 0 and even N >= 2")
         if min(self.amplitude, self.sigma, self.mass) <= 0:
@@ -372,8 +378,7 @@ def _phi_plus_estimate(psi: SpinorField, q, p, t: float,
         res = project_to_manifold(state, rho)
     except ProjectionError:
         return None
-    sol = soliton_state(res.params, rho, psi.grid)
-    return free_propagate(state.psi - sol.psi, -t, rho.mass)
+    return free_propagate(res.Z.psi, -t, rho.mass)
 
 
 def run_scattering(config: RunConfig) -> ScatteringReport:

@@ -684,7 +684,7 @@ def orthogonality_check(Z0: PhaseState, v, rho: ChargeDensity,
     if tb is None:
         tb = tangent_basis(v, rho, Z0.grid)
     Zk = Z0.to_fourier()
-    rows = _omega_rows(tb, Zk.psi.data, Zk.q, Zk.p, 1.0)
+    rows = _omega_rows(tb, Zk.psi.data, Zk.q, Zk.p)
     phi0 = phi_lambda(Z0.psi, 0.0, v, rho)
     phi1 = phi_prime_zero(Z0.psi, v, rho)
     return OrthogonalityCheck(phi0 + Zk.p, phi1 + momentum_jacobian(v) @ Zk.q,

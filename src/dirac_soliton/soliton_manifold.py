@@ -40,12 +40,8 @@ class SolitonParams:
             raise ValueError("|v| must be < 1")
 
     @property
-    def gamma(self) -> float:
-        return 1.0 / np.sqrt(1.0 - float(self.v @ self.v))
-
-    @property
     def p_v(self) -> np.ndarray:
-        return self.gamma * self.v
+        return soliton_momentum(self.v)
 
 
 def soliton_momentum(v) -> np.ndarray:
@@ -96,34 +92,24 @@ def soliton_field(v, rho: ChargeDensity, grid: GridSpec,
     return out if space == FOURIER else out.to_position()
 
 
-def dv_soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec,
-                         j: int) -> np.ndarray:
-    """d/dv_j of psi_v_hat, from the closed-form k-space derivative:
-
-        d_{v_j} psi_v_hat = k_j rho_hat / D + 2 k_j (v.k) psi_v_hat / D.
-    """
-    v = np.asarray(v, dtype=float)
-    m = rho.mass
-    vk = grid.k_dot(v)
-    D = grid.k2 + m * m - vk**2
-    kj = grid.k_axes[j]
-    rs = _rho_spinor_hat(grid, rho)
-    return (kj * rs + 2.0 * kj * vk * soliton_field_hat(v, rho, grid)) / D
-
-
 @dataclass(frozen=True)
 class TangentBasis:
-    """The six tangent vectors tau_1..tau_6 at a manifold point with
-    velocity v, field parts in Fourier representation (functions of y).
+    """The soliton and its six tangent vectors tau_1..tau_6 at a manifold
+    point sigma = (b, v), field parts in Fourier representation as functions
+    of the comoving coordinate y = x - b (that is, taken at b = 0).
 
-    field_hat[j] for j=0,1,2 is the transform of -d_j psi_v (i.e.
-    +i k_j psi_v_hat); for j=3,4,5 it is d_{v_{j-3}} psi_v_hat.
-    q_parts[j] and p_parts[j] are the particle components: e_j and 0 for
-    the translations, 0 and d_{v_j} p_v for the velocity directions.
+    soliton_hat is psi_v_hat. field_hat[j] for j=0,1,2 is the transform of
+    -d_j psi_v (i.e. +i k_j psi_v_hat); for j=3,4,5 it is
+    d_{v_{j-3}} psi_v_hat. q_parts[j] and p_parts[j] are the particle
+    components: e_j and 0 for the translations, 0 and d_{v_j} p_v for the
+    velocity directions. Omega rows against this basis take the state's
+    field in the comoving frame of sigma, since
+    Omega(Y, e^{ik.b} tau) = Omega(e^{-ik.b} Y, tau).
     """
 
     grid: GridSpec
     v: np.ndarray
+    soliton_hat: np.ndarray    # (4, N, N, N) complex
     field_hat: np.ndarray      # (6, 4, N, N, N) complex
     q_parts: np.ndarray        # (6, 3)
     p_parts: np.ndarray        # (6, 3)
@@ -139,19 +125,19 @@ class TangentBasis:
 
 def tangent_basis(v, rho: ChargeDensity, grid: GridSpec) -> TangentBasis:
     v = np.asarray(v, dtype=float)
-    N = grid.N
-    fields = np.empty((6, 4, N, N, N), dtype=complex)
     psi_hat = soliton_field_hat(v, rho, grid)
-    for j in range(3):
-        fields[j] = 1j * grid.k_axes[j] * psi_hat
-        fields[j + 3] = dv_soliton_field_hat(v, rho, grid, j)
-    q_parts = np.zeros((6, 3))
-    p_parts = np.zeros((6, 3))
-    dpv = momentum_jacobian(v)
-    for j in range(3):
-        q_parts[j, j] = 1.0
-        p_parts[j + 3] = dpv[:, j]
-    return TangentBasis(grid, v, fields, q_parts, p_parts)
+    # d_{v_j} psi_v_hat = k_j (rho_hat + 2 (v.k) psi_v_hat) / D
+    vk = grid.k_dot(v)
+    boost = 2.0 * vk * psi_hat
+    boost[0] += rho.fourier(grid.k2)
+    boost /= grid.k2 + rho.mass**2 - vk**2
+    fields = np.empty((6,) + psi_hat.shape, dtype=complex)
+    for j, kj in enumerate(grid.k_axes):
+        fields[j] = 1j * kj * psi_hat
+        fields[j + 3] = kj * boost
+    q_parts = np.vstack([np.eye(3), np.zeros((3, 3))])
+    p_parts = np.vstack([np.zeros((3, 3)), momentum_jacobian(v).T])
+    return TangentBasis(grid, v, psi_hat, fields, q_parts, p_parts)
 
 
 def soliton_state(params: SolitonParams, rho: ChargeDensity,

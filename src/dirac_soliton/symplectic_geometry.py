@@ -19,6 +19,7 @@ from .quadrature import QuadResult, tensor_trapezoid_3d
 from .soliton_manifold import (
     SolitonParams,
     TangentBasis,
+    soliton_momentum,
     soliton_state,
     tangent_basis,
     velocity_from_momentum,
@@ -40,12 +41,12 @@ def omega(Y1: PhaseState, Y2: PhaseState) -> float:
 
 
 def _omega_rows(tb: TangentBasis, psi_hat: np.ndarray, q: np.ndarray,
-                p: np.ndarray, b_phase: np.ndarray) -> np.ndarray:
-    """Omega(Y, tau_j(sigma)) for all six j at once; Y given by raw k-space
-    field data plus (q, p); tau fields are translated by the phase."""
+                p: np.ndarray) -> np.ndarray:
+    """Omega(Y, tau_j) for all six j at once; Y given by raw k-space field
+    data plus (q, p), the field taken in the comoving frame of the basis
+    (for tau_j translated to b, pass e^{-ik.b} times the lab-frame field)."""
     dk3 = tb.grid.dk**3
-    fields = tb.field_hat * b_phase
-    r = np.imag(np.einsum("cxyz,jcxyz->j", psi_hat.conj(), fields)) * dk3
+    r = np.imag(np.einsum("cxyz,jcxyz->j", psi_hat.conj(), tb.field_hat)) * dk3
     r += tb.p_parts @ q - tb.q_parts @ p
     return r
 
@@ -151,6 +152,9 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     Omega(Y - S(sigma), tau_j(sigma)) = 0 for j = 1..6 and return sigma
     with the transversal component Z = Y - S(sigma).
 
+    The rows are taken in the comoving frame of sigma, as Omega of
+    (e^{-ik.b} psi_hat - psi_v_hat, q - b, p - p_v) against tau_j(0, v).
+
     Damped Newton on sigma in R^6; the Jacobian is approximated by the
     invertible matrix -Omega(tau_l, tau_j), exact up to O(||Z||). The
     initial guess defaults to (q, v(p)) read off the state.
@@ -163,20 +167,15 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     b = sigma_guess.b.copy()
     v = sigma_guess.v.copy()
     tb = None
-    v_cached = None
 
     def residuals_at(b_, v_):
-        nonlocal tb, v_cached
-        if v_cached is None or not np.array_equal(v_cached, v_):
+        nonlocal tb
+        if tb is None or not np.array_equal(tb.v, v_):
             tb = tangent_basis(v_, rho, grid)
-            v_cached = v_.copy()
-        S = soliton_state(SolitonParams(b_, v_), rho, grid)
-        dpsi = Yk.psi.data - S.psi.data
-        phase = grid.phase_shift(b_)
-        r = _omega_rows(tb, dpsi, Yk.q - S.q, Yk.p - S.p, phase)
-        return r, S
+        dpsi = grid.phase_shift(-b_) * Yk.psi.data - tb.soliton_hat
+        return _omega_rows(tb, dpsi, Yk.q - b_, Yk.p - soliton_momentum(v_))
 
-    r, S = residuals_at(b, v)
+    r = residuals_at(b, v)
     scale = max(1.0, Yk.psi.norm())
     it = 0
     converged = bool(np.max(np.abs(r)) <= tol * scale)
@@ -191,13 +190,13 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
             b_new = b + step * delta[:3]
             v_new = v + step * delta[3:]
             if np.linalg.norm(v_new) < 1.0:
-                r_new, S_new = residuals_at(b_new, v_new)
+                r_new = residuals_at(b_new, v_new)
                 if np.max(np.abs(r_new)) < np.max(np.abs(r)):
                     break
             step *= 0.5
         else:
             break
-        b, v, r, S = b_new, v_new, r_new, S_new
+        b, v, r = b_new, v_new, r_new
         it += 1
         converged = bool(np.max(np.abs(r)) <= tol * scale)
 
@@ -218,11 +217,11 @@ def symplectic_orthogonalize(Z: PhaseState, tb: TangentBasis,
     Zk = Z.to_fourier()
     grid = Z.grid
     phase = grid.phase_shift(b) if b is not None else np.ones(1)
-    r = _omega_rows(tb, Zk.psi.data, Zk.q, Zk.p, phase)
+    r = _omega_rows(tb, phase.conj() * Zk.psi.data, Zk.q, Zk.p)
     M = omega_matrix_grid(tb).T        # M[j,l] = Omega(tau_l, tau_j)
     c = np.linalg.solve(M, r)
-    fields = tb.field_hat * phase
-    new_psi = Zk.psi.data - np.tensordot(c, fields, axes=(0, 0))
+    new_psi = Zk.psi.data - phase * np.tensordot(c, tb.field_hat,
+                                                 axes=(0, 0))
     new_q = Zk.q - c @ tb.q_parts
     new_p = Zk.p - c @ tb.p_parts
     return PhaseState(SpinorField(grid, new_psi, FOURIER), new_q, new_p)

@@ -203,3 +203,11 @@ def test_t_off_the_step_grid_exits_two(tmp_path, capsys):
                  .replace("dt = 0.05", "dt = 0.3"))
     assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
     assert "whole multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [("T = 1.0", "T = inf"),
+                                      ("v = 0.3 0.0 0.0", "v = nan 0 0")])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, old, new):
+    cfg = _write(tmp_path, TINY.replace(old, new))
+    assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import pytest
 from dirac_soliton.field_grid import GridSpec, apply_alpha_dot_k
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
-    dv_soliton_field_hat,
     force_balance,
     momentum_jacobian,
     soliton_field,
@@ -114,6 +113,12 @@ def test_tangent_basis_structure():
     assert np.allclose(tb.p_parts[3:], momentum_jacobian([0.2, 0, 0]).T)
 
 
+def test_tangent_basis_carries_the_soliton():
+    v = [0.3, -0.2, 0.1]
+    tb = tangent_basis(v, RHO, GRID)
+    assert np.array_equal(tb.soliton_hat, soliton_field_hat(v, RHO, GRID))
+
+
 def test_tangent_dv_p_at_v0():
     tb = tangent_basis(np.zeros(3), RHO, GRID)
     assert np.array_equal(tb.p_parts[3:], np.eye(3))
@@ -122,7 +127,7 @@ def test_tangent_dv_p_at_v0():
 def test_dv_field_at_v0_closed_form():
     # At v=0: d_{v_j} psi_hat = k_j (rho_hat + 0) / (k^2+m^2), spinor
     # component 1 only from the rho term.
-    hat = dv_soliton_field_hat(np.zeros(3), RHO, GRID, 0)
+    hat = tangent_basis(np.zeros(3), RHO, GRID).field_hat[3]
     k1 = GRID.k_axes[0]
     D = GRID.k2 + RHO.mass**2
     expected0 = k1 * RHO.fourier(GRID.k2) / D
@@ -138,7 +143,7 @@ def test_dv_field_matches_central_difference():
         e[j] = eps
         fd = (soliton_field_hat(v + e, RHO, GRID)
               - soliton_field_hat(v - e, RHO, GRID)) / (2 * eps)
-        an = dv_soliton_field_hat(v, RHO, GRID, j)
+        an = tangent_basis(v, RHO, GRID).field_hat[3 + j]
         scale = np.max(np.abs(an)) if np.max(np.abs(an)) > 0 else 1.0
         assert np.max(np.abs(fd - an)) / scale < 1e-4, j
 

@@ -3,6 +3,7 @@ projection onto the solitary manifold."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_soliton.field_grid import (
     FOURIER,
@@ -244,6 +245,37 @@ def test_projection_translation_covariance():
     assert np.max(np.abs(r2.params.v - r1.params.v)) < 1e-9
 
 
+_OFFSETS = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+_VELOCITIES = st.lists(st.floats(-0.6, 0.6), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) <= 0.6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(b=_OFFSETS, v=_VELOCITIES, a=_OFFSETS, seed=st.integers(0, 2**16))
+def test_projection_rows_vanish_in_lab_frame_and_covary(b, v, a, seed):
+    # the comoving-frame residual against the generic lab-frame omega, and
+    # translation covariance, for a generic perturbation of a soliton
+    grid = GridSpec(20.0, 16)
+    S = soliton_state(SolitonParams(b, v), RHO, grid)
+    rng = np.random.default_rng(seed)
+    pert = gaussian_packet(grid, width=1.2,
+                           center=S.q + rng.uniform(-1.5, 1.5, 3),
+                           spinor=rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                           amplitude=0.03).to_fourier()
+    Y = PhaseState(S.psi + pert, S.q + 0.01 * rng.standard_normal(3),
+                   S.p + 0.01 * rng.standard_normal(3))
+    res = project_to_manifold(Y, RHO)
+    Z = Y - soliton_state(res.params, RHO, grid)
+    tb = tangent_basis(res.params.v, RHO, grid)
+    rows = [omega(Z, tb.phase_state(j, res.params.b)) for j in range(6)]
+    assert np.max(np.abs(rows)) <= 1e-10 * max(1.0, Y.psi.norm())
+    a = np.asarray(a)
+    moved = project_to_manifold(
+        PhaseState(shift_field(Y.psi, a), Y.q + a, Y.p), RHO)
+    assert np.max(np.abs(moved.params.b - (res.params.b + a))) < 1e-8
+    assert np.max(np.abs(moved.params.v - res.params.v)) < 1e-8
+
+
 def test_projection_exact_on_orthogonal_perturbation():
     # a perturbation symplectically orthogonal to the tangent space at
     # sigma leaves the projected parameters unchanged
@@ -317,7 +349,7 @@ def test_orthogonalize_zeroes_all_rows():
     Z = _random_state(grid, rng, amp=0.3)
     tb = tangent_basis(_V_OBLIQUE, RHO, grid)
     Zo = symplectic_orthogonalize(Z, tb)
-    rows = _omega_rows(tb, Zo.psi.data, Zo.q, Zo.p, np.ones(1))
+    rows = _omega_rows(tb, Zo.psi.data, Zo.q, Zo.p)
     assert np.max(np.abs(rows)) < 1e-12
     # idempotent: a second pass changes nothing
     Zoo = symplectic_orthogonalize(Zo, tb)
