@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -234,7 +235,7 @@ def _cmd_project(args, sections) -> int:
 def _cmd_spectral(args, sections) -> int:
     import numpy as np
 
-    from .experiments import _write_series_csv
+    from .experiments import ConfigError, _write_series_csv
     from .linearized_spectral import f_jj_checks, spectral_matrices
 
     cfg = _run_config("spectral", args, sections)
@@ -242,6 +243,14 @@ def _cmd_spectral(args, sections) -> int:
     omega_max = sweep.get("omega_max", 3.0)
     samples = sweep.get("samples", 121)
     exclude = sweep.get("exclude", 0.05)
+    if not (math.isfinite(omega_max) and omega_max > 0.0):
+        raise ConfigError(f"[spectral] omega_max = {omega_max} must be "
+                          "finite and > 0")
+    if samples < 1:
+        raise ConfigError(f"[spectral] samples = {samples} must be >= 1")
+    if not (math.isfinite(exclude) and 0.0 <= exclude <= omega_max):
+        raise ConfigError(f"[spectral] exclude = {exclude} must lie in "
+                          f"[0, omega_max = {omega_max}]")
 
     mats = spectral_matrices(cfg.v_vec, cfg.rho)
     Bv_inv = np.linalg.inv(mats.Bv)

@@ -418,10 +418,28 @@ class SpectralMatrixSet:
         return matrix_H_on_axis(omega, self.speed, self.rho,
                                 order=self.order, panels=self.panels).value
 
+    @cached_property
+    def _F_memo(self) -> list:
+        return []
+
     def F(self, omega: float) -> np.ndarray:
-        """F(omega) = -L + H(i omega + 0) as the (3,) diagonal."""
-        return np.diag(self.H_on_axis(omega)) - np.diag(self.L).astype(
-            complex)
+        """F(omega) = -L + H(i omega + 0) as the (3,) diagonal.
+
+        The last omega and its F are memoized, so F, both determinants
+        and minv_blocks at one omega share one H(i omega + 0) quadrature.
+        The memo holds one entry, not one per omega: a sweep asks for
+        several quantities at one omega and then moves on, and a per-omega
+        table would grow without bound and make a repeated sweep free.
+        The returned array is read-only because it is shared.
+        """
+        key = float(omega)
+        memo = self._F_memo
+        if not memo or memo[0] != key:
+            value = np.diag(self.H_on_axis(key)) - np.diag(self.L).astype(
+                complex)
+            value.flags.writeable = False
+            memo[:] = [key, value]
+        return memo[1]
 
     def f(self, omega: float) -> np.ndarray:
         """The regular ratio f = F / omega^2, with f(0) = diag K."""

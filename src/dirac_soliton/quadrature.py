@@ -11,6 +11,7 @@ Gaussian support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -81,8 +82,9 @@ def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
     """
     pts = [a] + sorted(float(x) for x in breakpoints if a < x < b) + [b]
 
+    xg, wg = _legendre_rule(order)
+
     def run(nper):
-        xg, wg = leggauss(order)
         total = None
         for lo, hi in zip(pts, pts[1:]):
             # Geometric clustering toward both interval ends, where the
@@ -101,6 +103,16 @@ def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
     coarse = run(panels_per_interval)
     err = float(np.max(np.abs(fine - coarse)))
     return QuadResult(fine, err)
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre nodes and weights on [-1, 1], built
+    once per order and shared read-only."""
+    xg, wg = leggauss(order)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
 
 
 def _clustered_edges(lo: float, hi: float, n: int) -> np.ndarray:

@@ -211,3 +211,21 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, old, new):
     cfg = _write(tmp_path, TINY.replace(old, new))
     assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("omega_max", "nan"),
+                                        ("samples", "0"),
+                                        ("exclude", "5.0")])
+def test_spectral_sweep_is_validated_before_any_quadrature(
+        tmp_path, capsys, monkeypatch, key, value):
+    from dirac_soliton import linearized_spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral_matrices ran on an invalid sweep")
+
+    monkeypatch.setattr(linearized_spectral, "spectral_matrices", refuse)
+    cfg = _write(tmp_path, f"[spectral]\n{key} = {value}\n")
+    assert main(["--config", cfg, "spectral"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert key in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1, expi, kv
 
+from dirac_soliton import linearized_spectral
 from dirac_soliton.field_grid import (
     FOURIER,
     GridSpec,
@@ -386,6 +387,56 @@ def test_f_curvature_checks():
     assert chk.max_relative_curvature_error() < 1e-5
     # f = F / omega^2 approaches diag K continuously
     assert np.max(np.abs(mats.f(2e-3) - mats.k_diag)) < 1e-4
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_f_memo_returns_the_fresh_value_bit_for_bit():
+    # below the cut, on the cut, and both signed zeros, each asked of a set
+    # that has already evaluated other omegas
+    mats = spectral_matrices(V6, RHO)
+    mats.F(2.2)
+    for om in (0.3, 1.2, 0.0, -0.0):
+        F = mats.F(om)
+        direct = (np.diag(matrix_H_on_axis(om, 0.6, RHO).value)
+                  - np.diag(mats.L).astype(complex))
+        fresh = spectral_matrices(V6, RHO).F(om)
+        assert np.array_equal(_bits(F), _bits(direct))
+        assert np.array_equal(_bits(F), _bits(fresh))
+
+
+def test_f_memo_shares_one_quadrature_per_omega(monkeypatch):
+    mats = spectral_matrices(V6, RHO)
+    calls = []
+    inner = linearized_spectral.matrix_H_on_axis
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(linearized_spectral, "matrix_H_on_axis", counting)
+    om = 1.2
+    mats.F(om)
+    mats.det_M_direct(om)
+    mats.det_M_factorized(om)
+    mats.minv_blocks(om)
+    assert len(calls) == 1
+    mats.F(0.4)
+    mats.det_M_factorized(0.4)
+    assert len(calls) == 2
+    # the memo keeps only the last omega, so going back costs one more
+    mats.F(om)
+    assert len(calls) == 3
+
+
+def test_f_memo_value_is_read_only():
+    mats = spectral_matrices(V6, RHO)
+    F = mats.F(1.2)
+    with pytest.raises(ValueError):
+        F[0] = 0.0
+    assert F[0] != 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_soliton.quadrature import (
     ABS_TOL_TARGET,
@@ -44,6 +45,31 @@ def test_gauss_panels_gaussian_tail():
                           breakpoints=(1.0, 3.0))
     assert abs(float(res.value) - 0.5 * np.sqrt(np.pi)) < 1e-12
     assert res.error < 1e-10
+
+
+@settings(derandomize=True, deadline=None)
+@given(a=st.floats(-5.0, 5.0), width=st.floats(0.1, 5.0),
+       cuts=st.lists(st.floats(0.01, 0.99), max_size=4),
+       coeffs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=21),
+       order=st.integers(11, 40))
+def test_gauss_panels_integrate_polynomials(a, width, cuts, coeffs, order):
+    # p(x) = sum c_i (x - a)^i with c_i > 0 has degree <= 20 and no
+    # cancellation on [a, b]; each panel rule of order >= 11 is exact for
+    # it, so only rounding separates the result from the exact integral,
+    # whatever the breakpoints
+    b = a + width
+    shifted = np.polynomial.Polynomial(coeffs)
+
+    def p(x):
+        return shifted(x - a)
+
+    exact = sum(c * width ** (i + 1) / (i + 1) for i, c in enumerate(coeffs))
+    split = gauss_panels_1d(p, a, b, breakpoints=[a + c * width
+                                                  for c in cuts],
+                            order=order)
+    whole = gauss_panels_1d(p, a, b, order=order)
+    assert abs(float(split.value) - exact) <= 1e-12 * exact
+    assert abs(float(split.value) - float(whole.value)) <= 1e-12 * exact
 
 
 def test_monte_carlo_constant_is_exact():
