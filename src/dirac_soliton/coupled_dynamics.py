@@ -6,9 +6,13 @@ The field and the particle exchange momentum through the smeared charge:
     pdot    = Re <psi, grad rho(. - q)>
 One step is Strang splitting: half a kick of the particle with the field
 frozen, an exact free flight of the field with the source integral taken
-by the midpoint rule, half a kick again. Everything runs in k-space; the
+by the midpoint rule, half a kick again. The field's flight is split half
+and half, W0(dt/2) [W0(dt/2) psi - i dt rho_hat e^{i k.q} e_0], so both
+halves share one cached multiplier. Everything runs in k-space; the
 moving source never touches the grid as an interpolation, only as the
-phase e^{i k.q} on rho_hat.
+phase e^{i k.q} on rho_hat, and since the Gaussian separates, the source
+is three 1-D factors (ChargeDensity.fourier_factors) and the force and
+the energy's coupling term are 1-D contractions of the field with them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .field_grid import (
-    FOURIER,
     GridSpec,
     SpinorField,
     dirac_symbol,
@@ -38,19 +41,33 @@ class IntegratorError(RuntimeError):
     """Non-physical blow-up: the state left the finite-energy regime."""
 
 
+def _source_pairings(psi0_hat: np.ndarray, grid: GridSpec,
+                     rho: ChargeDensity, q) -> np.ndarray:
+    """Sums over the k-grid of conj(psi0_hat) rho_hat e^{i k.q} weighted by
+    1, k1, k2 and k3, times dk^3. The source is a product of three 1-D
+    factors (rho.fourier_factors), so the sums run one axis at a time: one
+    matrix product over N^3 for the weights f3 and k3 f3, taken as
+    conj(psi0_hat . conj(g)) so that no conjugated N^3 copy is made, then
+    products over N^2 and N."""
+    f1, f2, f3 = rho.fourier_factors(grid.k1d, q)
+    k, N = grid.k1d, grid.N
+    last = psi0_hat.reshape(N * N, N) @ np.conj(np.stack([f3, k * f3], 1))
+    last = np.conj(last).reshape(N, N, 2)
+    middle = last[:, :, 0] @ np.stack([f2, k * f2], 1)
+    return np.array([f1 @ middle[:, 0], (k * f1) @ middle[:, 0],
+                     f1 @ middle[:, 1], f1 @ (last[:, :, 1] @ f2)]) \
+        * grid.dk**3
+
+
 def force(psi_hat_data: np.ndarray, grid: GridSpec, rho: ChargeDensity,
           q) -> np.ndarray:
     """Re <psi, grad rho(. - q)>, evaluated by Parseval in k-space.
 
     Only the first spinor component couples; grad rho(. - q) transforms
-    to -i k e^{i k.q} rho_hat(k).
+    to -i k e^{i k.q} rho_hat(k), so the force is
+    Im sum_k k conj(psi0_hat) rho_hat e^{i k.q} dk^3.
     """
-    src = rho.fourier(grid.k2) * grid.phase_shift(q)
-    w = src * np.conj(psi_hat_data[0])
-    out = np.empty(3)
-    for axis in range(3):
-        out[axis] = np.real(-1j * np.sum(grid.k_axes[axis] * w))
-    return out * grid.dk**3
+    return _source_pairings(psi_hat_data[0], grid, rho, q)[1:].imag
 
 
 def _half_kick(q, p, psi_hat_data, grid, rho, h):
@@ -64,15 +81,16 @@ def _half_kick(q, p, psi_hat_data, grid, rho, h):
 
 def _field_step(psi: SpinorField, rho: ChargeDensity, q_mid,
                 dt: float) -> SpinorField:
-    """Exact free flight plus the Duhamel source term at the midpoint:
-    psi <- W0(dt) psi - i dt W0(dt/2) rho(. - q_mid)."""
-    grid = psi.grid
-    out = free_propagate(psi, dt, rho.mass)
-    src = np.zeros((4, grid.N, grid.N, grid.N), dtype=complex)
-    src[0] = rho.fourier(grid.k2) * grid.phase_shift(q_mid)
-    kicked = free_propagate(SpinorField(grid, src, FOURIER), 0.5 * dt,
-                            rho.mass)
-    return out - (1j * dt) * kicked
+    """Exact free flight of the Fourier-space field psi plus the Duhamel
+    source term at the midpoint, split half and half:
+        psi <- W0(dt/2) [W0(dt/2) psi - i dt rho_hat e^{i k.q_mid} e_0],
+    which is W0(dt) psi - i dt W0(dt/2) rho(. - q_mid) e_0 regrouped. Both
+    half flights use the one memoized dt/2 multiplier, and the source is
+    added in place into the first flight's fresh array."""
+    half = free_propagate(psi, 0.5 * dt, rho.mass)
+    f1, f2, f3 = rho.fourier_factors(psi.grid.k1d, q_mid)
+    half.data[0] -= (1j * dt * f1)[:, None, None] * np.multiply.outer(f2, f3)
+    return free_propagate(half, 0.5 * dt, rho.mass)
 
 
 def step(Y: PhaseState, dt: float, rho: ChargeDensity) -> PhaseState:
@@ -101,8 +119,7 @@ def hamiltonian(Y: PhaseState, rho: ChargeDensity) -> float:
     d = Yk.psi.data
     Dd = dirac_symbol(d, grid, rho.mass)
     field_term = 0.5 * float(np.real(np.sum(np.conj(d) * Dd))) * grid.dk**3
-    src = rho.fourier(grid.k2) * grid.phase_shift(Yk.q)
-    coupling = float(np.real(np.sum(np.conj(d[0]) * src))) * grid.dk**3
+    coupling = float(_source_pairings(d[0], grid, rho, Yk.q)[0].real)
     kinetic = float(np.sqrt(1.0 + Yk.p @ Yk.p))
     return field_term + coupling + kinetic
 
@@ -224,7 +241,8 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
     With track_modulation the state is projected onto the solitary
     manifold every sample_every time units (warm-started from the last
     fit); a projection failure is recorded and tracking stops, the
-    integration itself continues.
+    integration itself continues. At every sample, t = 0 included, the
+    field must be finite, or IntegratorError names the sample time.
     """
     n_steps = int(round(config.t_final / config.dt))
     stride = max(1, int(round(config.sample_every / config.dt)))
@@ -243,6 +261,8 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
 
     def sample(idx, t, state):
         nonlocal tracking, failed_at, guess, m_run
+        if not np.all(np.isfinite(state.psi.data)):
+            raise IntegratorError(f"field psi lost finiteness at t={t:g}")
         if tracking:
             try:
                 res = project_to_manifold(state, rho, sigma_guess=guess)

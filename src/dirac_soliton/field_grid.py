@@ -12,7 +12,7 @@ Parseval identity h^3 sum|f|^2 = dk^3 sum|f_hat|^2 is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -172,19 +172,28 @@ def apply_alpha_dot_k(data: np.ndarray, grid: GridSpec,
     return out
 
 
-def dirac_symbol(data: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
-    """D(k) f_hat with D(k) = -alpha.k + beta m, on shape-(4,N,N,N) Fourier
-    data. In the 2x2-block form f = (u, d) this is
-        D(k) f = (m u - (sigma.k) d, -(sigma.k) u - m d),
-    with sigma.k = [[k3, k1 - i k2], [k1 + i k2, -k3]]."""
+def _block_symbol(data: np.ndarray, grid: GridSpec, a_u, a_d,
+                  kappa) -> np.ndarray:
+    """The 2x2-block kernel behind every Dirac multiplier. On shape-(4,N,N,N)
+    Fourier data f = (u, d) it forms
+        (a_u u + kappa (sigma.k) d, a_d d + kappa (sigma.k) u),
+    with sigma.k = [[k3, k1 - i k2], [k1 + i k2, -k3]]; the coefficients are
+    scalars or arrays that broadcast against the k-grid."""
     k1, k2_, k3 = grid.k_axes
     k_minus, k_plus = k1 - 1j * k2_, k1 + 1j * k2_
     out = np.empty(data.shape, dtype=complex)
-    out[0] = m * data[0] - (k3 * data[2] + k_minus * data[3])
-    out[1] = m * data[1] - (k_plus * data[2] - k3 * data[3])
-    out[2] = -(k3 * data[0] + k_minus * data[1]) - m * data[2]
-    out[3] = -(k_plus * data[0] - k3 * data[1]) - m * data[3]
+    out[0] = a_u * data[0] + kappa * (k3 * data[2] + k_minus * data[3])
+    out[1] = a_u * data[1] + kappa * (k_plus * data[2] - k3 * data[3])
+    out[2] = a_d * data[2] + kappa * (k3 * data[0] + k_minus * data[1])
+    out[3] = a_d * data[3] + kappa * (k_plus * data[0] - k3 * data[1])
     return out
+
+
+def dirac_symbol(data: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
+    """D(k) f_hat with D(k) = -alpha.k + beta m, on shape-(4,N,N,N) Fourier
+    data. In the 2x2-block form f = (u, d) this is
+        D(k) f = (m u - (sigma.k) d, -(sigma.k) u - m d)."""
+    return _block_symbol(data, grid, m, -m, -1.0)
 
 
 def _in_space_of(psi: SpinorField, data: np.ndarray) -> SpinorField:
@@ -199,21 +208,40 @@ def spectral_derivative(psi: SpinorField, axis: int) -> SpinorField:
     return _in_space_of(psi, -1j * hat.grid.k_axes[axis] * hat.data)
 
 
+@lru_cache(maxsize=1)
+def _free_multiplier(grid: GridSpec, t: float,
+                     m: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(w t) and sin(w t) / w on the k-grid, w = sqrt(|k|^2 + m^2),
+    read-only.
+
+    Memoized on (grid, t, m), one entry: the Strang step's two half
+    flights, and every step of a run, share one pair. A second entry would
+    only hold a one-off time (an outgoing-field estimate) and raise the
+    resident memory by N^3 * 16 bytes.
+    """
+    w = np.sqrt(grid.k2 + m * m)
+    c, s = np.cos(w * t), np.sin(w * t) / w
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
 def free_propagate(psi: SpinorField, t: float, m: float) -> SpinorField:
     """Exact free Dirac propagator W0(t) as a Fourier multiplier.
 
     The free equation i*psi_t = (-i alpha.grad + beta m) psi becomes, per
     mode, i d/dt psi_hat = D(k) psi_hat with D(k) = -alpha.k + beta m and
     D(k)^2 = (|k|^2 + m^2) I, so
-        exp(-i t D) = cos(w t) I - i sin(w t) D / w,   w = sqrt(|k|^2+m^2).
+        exp(-i t D) = cos(w t) I - i sin(w t) D / w,   w = sqrt(|k|^2+m^2),
+    applied in one pass of the block kernel as a_u = c - i m s,
+    a_d = c + i m s, kappa = i s with c = cos(w t), s = sin(w t) / w.
     Unitary per mode, hence exactly charge conserving.
     """
     hat = psi.to_fourier()
-    g = hat.grid
-    w = np.sqrt(g.k2 + m * m)
-    Dpsi = dirac_symbol(hat.data, g, m)
-    return _in_space_of(psi, np.cos(w * t) * hat.data
-                        - 1j * (np.sin(w * t) / w) * Dpsi)
+    c, s = _free_multiplier(hat.grid, float(t), float(m))
+    i_s = 1j * s
+    i_ms = m * i_s
+    return _in_space_of(psi, _block_symbol(hat.data, hat.grid, c - i_ms,
+                                           c + i_ms, i_s))
 
 
 def moving_frame_propagate(psi: SpinorField, t: float, v,

@@ -107,6 +107,20 @@ class ChargeDensity:
         return (self.amplitude * self.sigma**3
                 * np.exp(-self.sigma**2 * np.asarray(k2) / 2.0))
 
+    def fourier_factors(self, k1d, q) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+        """The transform of the moving density rho1(. - q) on a tensor
+        k-grid with axis wavenumbers k1d, as three 1-D factors: the
+        Gaussian separates, so
+            rho1_hat(k) e^{i k.q} = f1(k_1) f2(k_2) f3(k_3),
+            f_j(k_j) = exp(-sigma^2 k_j^2 / 2 + i k_j q_j),
+        with the constant A sigma^3 folded into f1."""
+        k = np.asarray(k1d, dtype=float)
+        f = np.exp(-0.5 * self.sigma**2 * k**2
+                   + 1j * np.multiply.outer(np.asarray(q, dtype=float), k))
+        f[0] *= self.amplitude * self.sigma**3
+        return f[0], f[1], f[2]
+
     def l2_norm(self) -> float:
         """||rho||_{L^2} = A * (pi)^{3/4} * sigma^{3/2}."""
         return self.amplitude * np.pi**0.75 * self.sigma**1.5

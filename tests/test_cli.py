@@ -229,3 +229,25 @@ def test_spectral_sweep_is_validated_before_any_quadrature(
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert key in err
+
+
+def test_simulate_of_a_non_finite_field_exits_three(tmp_path, capsys,
+                                                    monkeypatch):
+    from dirac_soliton import experiments
+    from dirac_soliton.field_grid import FOURIER, SpinorField
+    from dirac_soliton.phase_space import PhaseState
+
+    build = experiments.initial_state
+
+    def with_a_nan(cfg):
+        Y, sigma = build(cfg)
+        Y = Y.to_fourier()
+        data = Y.psi.data.copy()
+        data[2, 1, 2, 3] = np.nan
+        return PhaseState(SpinorField(Y.grid, data, FOURIER), Y.q, Y.p), sigma
+
+    monkeypatch.setattr(experiments, "initial_state", with_a_nan)
+    cfg = _write(tmp_path, TINY)
+    assert main(["--config", cfg, "simulate"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "psi" in err and "t=0" in err

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_soliton.coupled_dynamics import (
     IntegratorError,
     ScatteringData,
     SimulationConfig,
     Trajectory,
+    _field_step,
     extract_scattering_data,
     force,
     hamiltonian,
@@ -251,3 +253,94 @@ def test_config_rejects_t_final_off_the_step_grid():
     with pytest.raises(ValueError, match="whole multiple"):
         SimulationConfig(dt=0.02, t_final=0.01, sample_every=0.02)
     SimulationConfig(dt=0.1, t_final=0.3)      # 2.9999999999999996 steps
+
+
+def test_simulate_rejects_a_non_finite_field_at_t0():
+    # component 2 does not couple, so force, q and p all stay finite: only
+    # a check of psi itself can see this
+    Y = soliton_state(SolitonParams(np.zeros(3), np.array([0.3, 0.0, 0.0])),
+                      RHO, GridSpec(20.0, 8)).to_fourier()
+    data = Y.psi.data.copy()
+    data[2, 1, 2, 3] = np.nan
+    bad = PhaseState(SpinorField(Y.grid, data, FOURIER), Y.q, Y.p)
+    with pytest.raises(IntegratorError, match=r"psi .* t=0$"):
+        simulate(bad, RHO, SimulationConfig(dt=0.05, t_final=0.1))
+
+
+def test_step_leaves_its_input_unchanged():
+    Y = _perturbed_soliton()
+    before = Y.psi.data.copy()
+    step(Y, 0.05, RHO)
+    assert np.array_equal(Y.psi.data, before)
+
+
+# ---------------------------------------------------------------------------
+# The separable step against the direct N^3 formulas it replaced.
+# ---------------------------------------------------------------------------
+
+def _source_oracle(grid, rho, q):
+    """rho_hat(k) e^{i k.q} on the whole k-grid."""
+    return rho.fourier(grid.k2) * grid.phase_shift(q)
+
+
+def _force_oracle(data, grid, rho, q):
+    """Re sum_k -i k conj(psi0_hat) rho_hat e^{i k.q} dk^3, term by term."""
+    w = _source_oracle(grid, rho, q) * np.conj(data[0])
+    return np.array([np.real(-1j * np.sum(k * w)) for k in grid.k_axes]) \
+        * grid.dk**3
+
+
+def _field_step_oracle(psi, rho, q_mid, dt):
+    """W0(dt) psi - i dt W0(dt/2) rho(. - q_mid) e_0."""
+    src = np.zeros(psi.data.shape, dtype=complex)
+    src[0] = _source_oracle(psi.grid, rho, q_mid)
+    kicked = free_propagate(SpinorField(psi.grid, src, FOURIER), 0.5 * dt,
+                            rho.mass)
+    return free_propagate(psi, dt, rho.mass) - (1j * dt) * kicked
+
+
+@st.composite
+def _source_cases(draw):
+    """A grid (N = 8 or 16), a charge, a particle position anywhere in the
+    box, the box edges +-L/2 included, and random Fourier data."""
+    grid = GridSpec(draw(st.floats(5.0, 40.0)), draw(st.sampled_from([8, 16])))
+    rho = ChargeDensity(amplitude=draw(st.floats(0.1, 3.0)),
+                        sigma=draw(st.floats(0.3, 2.0)),
+                        mass=draw(st.floats(0.1, 3.0)))
+    edge = st.sampled_from([-0.5, 0.5, -0.4999, 0.4999])
+    q = grid.L * np.array([draw(st.one_of(edge, st.floats(-0.5, 0.5)))
+                           for _ in range(3)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (4, grid.N, grid.N, grid.N)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return grid, rho, q, data
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(case=_source_cases())
+def test_source_factors_match_the_direct_source(case):
+    grid, rho, q, _ = case
+    f1, f2, f3 = rho.fourier_factors(grid.k1d, q)
+    product = f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
+    want = _source_oracle(grid, rho, q)
+    assert np.linalg.norm(product - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(case=_source_cases())
+def test_force_matches_the_direct_parseval_sum(case):
+    grid, rho, q, data = case
+    want = _force_oracle(data, grid, rho, q)
+    got = force(data, grid, rho, q)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(case=_source_cases(), dt=st.floats(1e-3, 0.5))
+def test_field_step_matches_the_full_step_duhamel_form(case, dt):
+    grid, rho, q, data = case
+    psi = SpinorField(grid, data, FOURIER)
+    want = _field_step_oracle(psi, rho, q, dt).data
+    got = _field_step(psi, rho, q, dt)
+    assert got.space == FOURIER
+    assert np.linalg.norm(got.data - want) <= 1e-13 * np.linalg.norm(want)

@@ -6,6 +6,8 @@ from dirac_soliton.field_grid import (
     FOURIER,
     GridSpec,
     SpinorField,
+    _free_multiplier,
+    apply_alpha_dot_k,
     dirac_symbol,
     free_propagate,
     gaussian_packet,
@@ -211,3 +213,61 @@ def test_dirac_symbol_squares_to_k2_plus_m2(grid, m, seed):
 @given(grid=GRIDS, a=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
 def test_phase_shift_is_exp_of_k_dot(grid, a):
     assert np.array_equal(grid.phase_shift(a), np.exp(1j * grid.k_dot(a)))
+
+
+# ---------------------------------------------------------------------------
+# Properties of the free propagator and its memoized multiplier.
+# ---------------------------------------------------------------------------
+
+TIMES = st.floats(-10.0, 10.0)
+
+
+def _fourier_field(grid, seed):
+    return SpinorField(grid, _spinor_data(grid, seed), FOURIER)
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, m=MASSES, t=TIMES, seed=SEEDS)
+def test_free_propagate_is_unitary(grid, m, t, seed):
+    psi = _fourier_field(grid, seed)
+    n0 = psi.norm()
+    assert abs(free_propagate(psi, t, m).norm() - n0) <= 1e-12 * n0
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, m=MASSES, s=TIMES, t=TIMES, seed=SEEDS)
+def test_free_propagate_group_law(grid, m, s, t, seed):
+    psi = _fourier_field(grid, seed)
+    once = free_propagate(psi, s + t, m)
+    twice = free_propagate(free_propagate(psi, t, m), s, m)
+    assert (twice - once).norm() <= 1e-12 * psi.norm()
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, m=MASSES, t=TIMES, seed=SEEDS)
+def test_free_propagate_matches_the_dense_multiplier(grid, m, t, seed):
+    # cos(w t) I - i sin(w t) (beta m - alpha.k) / w with dense 4x4 products
+    psi = _fourier_field(grid, seed)
+    w = np.sqrt(grid.k2 + m * m)
+    beta = build_dirac_matrices().beta
+    D = m * np.einsum("ab,bxyz->axyz", beta, psi.data) \
+        - apply_alpha_dot_k(psi.data, grid)
+    dense = np.cos(w * t) * psi.data - 1j * (np.sin(w * t) / w) * D
+    err = np.linalg.norm(free_propagate(psi, t, m).data - dense)
+    assert err <= 1e-14 * np.linalg.norm(dense)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(grid=GRIDS, m=MASSES, t=TIMES, t_other=TIMES, seed=SEEDS)
+def test_free_multiplier_memo_is_exact_and_read_only(grid, m, t, t_other,
+                                                     seed):
+    psi = _fourier_field(grid, seed)
+    _free_multiplier.cache_clear()
+    cold = free_propagate(psi, t, m).data
+    assert np.array_equal(free_propagate(psi, t, m).data, cold)
+    assert _free_multiplier.cache_info().hits == 1
+    free_propagate(psi, t_other, m)
+    assert np.array_equal(free_propagate(psi, t, m).data, cold)
+    for cached in _free_multiplier(grid, t, m):
+        with pytest.raises(ValueError):
+            cached[(0,) * 3] = 0.0
