@@ -82,6 +82,15 @@ class GridSpec:
         k1, k2_, k3 = self.k_axes
         return k1 * a[0] + k2_ * a[1] + k3 * a[2]
 
+    def k_moments(self, w: np.ndarray) -> np.ndarray:
+        """dk^3 (sum k_1 w, sum k_2 w, sum k_3 w) over the k-grid for an
+        (N, N, N) weight w; w is summed down to each axis before the
+        product with k, so no k-weighted N^3 array is formed."""
+        k = self.k1d
+        w12 = w.sum(axis=2)
+        return self.dk**3 * np.array([k @ w12.sum(axis=1), k @ w12.sum(axis=0),
+                                      k @ w.sum(axis=(0, 1))])
+
     def phase_shift(self, a) -> np.ndarray:
         """e^{i k . a} on the k-grid (multiplying f_hat translates f by +a:
         F[f(. - a)](k) = e^{i k.a} f_hat(k), so use -a to shift by a)."""
@@ -153,6 +162,13 @@ class SpinorField:
         return SpinorField(self.grid, c * self.data, self.space)
 
     __rmul__ = __mul__
+
+
+def k_second_moments(w: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """dk^3 sum k_l k_j w over the k-grid as a 3x3 matrix; the upper
+    triangle is mirrored, so the result is symmetric bit for bit."""
+    m = np.array([grid.k_moments(kl * w) for kl in grid.k_axes])
+    return np.triu(m) + np.triu(m, 1).T
 
 
 def zero_field(grid: GridSpec, space: str = POSITION) -> SpinorField:

@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import exp1
 
-from .field_grid import FOURIER, GridSpec, SpinorField, dirac_symbol
+from .field_grid import (FOURIER, GridSpec, SpinorField, dirac_symbol,
+                         k_second_moments)
 from .phase_space import PhaseState
 from .quadrature import QuadResult, gauss_panels_1d, tensor_trapezoid_3d
 from .soliton_manifold import (
@@ -148,14 +149,7 @@ def linearized_operator(v, w, rho: ChargeDensity,
     rho_hat = rho.fourier(grid.k2)
     wk = grid.k_dot(w)
     psi0 = soliton_field_hat(v, rho, grid)[0]
-    dk3 = grid.dk**3
-    ks = grid.k_axes
-    coupling = np.empty((3, 3))
-    for i in range(3):
-        for l in range(i, 3):
-            coupling[i, l] = dk3 * float(np.real(
-                np.sum(ks[i] * ks[l] * psi0 * rho_hat)))
-            coupling[l, i] = coupling[i, l]
+    coupling = k_second_moments(psi0.real * rho_hat, grid)
     return LinearizedOperator(v, w, rho, grid, rho_hat, wk, coupling,
                               boost_matrix(v))
 
@@ -170,12 +164,7 @@ def apply_A(op: LinearizedOperator, Z: PhaseState) -> PhaseState:
     data = Zk.psi.data
     field = -1j * (dirac_symbol(data, g, op.rho.mass) + op.wk * data)
     field[0] += g.k_dot(Zk.q) * op.rho_hat
-    dk3 = g.dk**3
-    lin = np.array([
-        dk3 * float(np.real(np.sum(data[0].conj() * (-1j * g.k_axes[l])
-                                   * op.rho_hat)))
-        for l in range(3)
-    ])
+    lin = g.k_moments(data[0].conj() * op.rho_hat).imag
     newP = lin + op.force_coupling.T @ Zk.q
     return PhaseState(SpinorField(g, field, FOURIER), op.boost @ Zk.p, newP)
 
@@ -627,12 +616,7 @@ def phi_lambda(Psi0: SpinorField, lam, v, rho: ChargeDensity) -> np.ndarray:
     x1, x2 = _real_pair_hat(Psi0)
     g11, g12 = _green_block_apply(grid, v, rho, complex(lam))
     t1 = -g11(x1) - g12(x2)
-    rho_hat = rho.fourier(grid.k2)
-    dk3 = grid.dk**3
-    return np.array([
-        dk3 * complex(np.sum(t1[0] * (1j * grid.k_axes[j]) * rho_hat))
-        for j in range(3)
-    ])
+    return 1j * grid.k_moments(t1[0] * rho.fourier(grid.k2))
 
 
 def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
@@ -649,12 +633,7 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
     vk = grid.k_dot(v)
     den = grid.k2 + m * m - vk**2
     u1 = (x1 + 2j * vk * (g11(x1) + g12(x2))) / den
-    rho_hat = rho.fourier(grid.k2)
-    dk3 = grid.dk**3
-    return np.array([
-        dk3 * complex(1j * np.sum(grid.k_axes[j] * u1[0] * rho_hat))
-        for j in range(3)
-    ])
+    return 1j * grid.k_moments(u1[0] * rho.fourier(grid.k2))
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,12 @@ class TangentBasis:
     point sigma = (b, v), field parts in Fourier representation as functions
     of the comoving coordinate y = x - b (that is, taken at b = 0).
 
-    soliton_hat is psi_v_hat. field_hat[j] for j=0,1,2 is the transform of
-    -d_j psi_v (i.e. +i k_j psi_v_hat); for j=3,4,5 it is
-    d_{v_{j-3}} psi_v_hat. q_parts[j] and p_parts[j] are the particle
+    Every tangent field is a k_j multiple of one of two spinor fields:
+    soliton_hat is psi_v_hat, and boost_hat is
+    B = (rho_hat e_0 + 2 (v.k) psi_v_hat) / D. The field of tau_j for
+    j=0,1,2 is the transform of -d_j psi_v, that is i k_j psi_v_hat; for
+    j=3,4,5 it is d_{v_{j-3}} psi_v_hat = k_{j-3} B. phase_state(j) forms
+    one of them on demand. q_parts[j] and p_parts[j] are the particle
     components: e_j and 0 for the translations, 0 and d_{v_j} p_v for the
     velocity directions. Omega rows against this basis take the state's
     field in the comoving frame of sigma, since
@@ -110,34 +113,32 @@ class TangentBasis:
     grid: GridSpec
     v: np.ndarray
     soliton_hat: np.ndarray    # (4, N, N, N) complex
-    field_hat: np.ndarray      # (6, 4, N, N, N) complex
+    boost_hat: np.ndarray      # (4, N, N, N) complex
     q_parts: np.ndarray        # (6, 3)
     p_parts: np.ndarray        # (6, 3)
 
     def phase_state(self, j: int, b=None) -> PhaseState:
         """tau_j as a PhaseState, optionally translated to base point b."""
-        data = self.field_hat[j]
+        if j < 3:
+            data = 1j * self.grid.k_axes[j] * self.soliton_hat
+        else:
+            data = self.grid.k_axes[j - 3] * self.boost_hat
         if b is not None:
             data = self.grid.phase_shift(b) * data
-        return PhaseState(SpinorField(self.grid, data.copy(), FOURIER),
+        return PhaseState(SpinorField(self.grid, data, FOURIER),
                           self.q_parts[j], self.p_parts[j])
 
 
 def tangent_basis(v, rho: ChargeDensity, grid: GridSpec) -> TangentBasis:
     v = np.asarray(v, dtype=float)
     psi_hat = soliton_field_hat(v, rho, grid)
-    # d_{v_j} psi_v_hat = k_j (rho_hat + 2 (v.k) psi_v_hat) / D
     vk = grid.k_dot(v)
     boost = 2.0 * vk * psi_hat
     boost[0] += rho.fourier(grid.k2)
     boost /= grid.k2 + rho.mass**2 - vk**2
-    fields = np.empty((6,) + psi_hat.shape, dtype=complex)
-    for j, kj in enumerate(grid.k_axes):
-        fields[j] = 1j * kj * psi_hat
-        fields[j + 3] = kj * boost
     q_parts = np.vstack([np.eye(3), np.zeros((3, 3))])
     p_parts = np.vstack([np.zeros((3, 3)), momentum_jacobian(v).T])
-    return TangentBasis(grid, v, psi_hat, fields, q_parts, p_parts)
+    return TangentBasis(grid, v, psi_hat, boost, q_parts, p_parts)
 
 
 def soliton_state(params: SolitonParams, rho: ChargeDensity,
@@ -150,15 +151,9 @@ def soliton_state(params: SolitonParams, rho: ChargeDensity,
 
 def force_balance(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
     """Re <psi_v, grad rho> on the grid; vanishes for the exact soliton."""
-    psi_hat = soliton_field_hat(v, rho, grid)
-    rs = _rho_spinor_hat(grid, rho)
-    out = np.empty(3)
-    w = grid.dk**3
-    for j in range(3):
-        kj = grid.k_axes[j]
-        # <psi, d_j rho> = sum conj(psi_hat) . (-i k_j) rho_hat * dk^3
-        out[j] = w * np.sum(np.real(psi_hat.conj() * (-1j * kj) * rs))
-    return out
+    # <psi, d_j rho> = Re sum conj(psi_hat_0) (-i k_j) rho_hat dk^3
+    psi0 = soliton_field_hat(v, rho, grid)[0]
+    return grid.k_moments(psi0.conj() * rho.fourier(grid.k2)).imag
 
 
 def _stationary_residual(psi_hat: np.ndarray, v, rho: ChargeDensity,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_grid import FOURIER, GridSpec, SpinorField
+from .field_grid import FOURIER, GridSpec, SpinorField, k_second_moments
 from .phase_space import PhaseState
 from .quadrature import QuadResult, tensor_trapezoid_3d
 from .soliton_manifold import (
@@ -44,19 +44,23 @@ def _omega_rows(tb: TangentBasis, psi_hat: np.ndarray, q: np.ndarray,
                 p: np.ndarray) -> np.ndarray:
     """Omega(Y, tau_j) for all six j at once; Y given by raw k-space field
     data plus (q, p), the field taken in the comoving frame of the basis
-    (for tau_j translated to b, pass e^{-ik.b} times the lab-frame field)."""
-    dk3 = tb.grid.dk**3
-    r = np.imag(np.einsum("cxyz,jcxyz->j", psi_hat.conj(), tb.field_hat)) * dk3
-    r += tb.p_parts @ q - tb.q_parts @ p
-    return r
+    (for tau_j translated to b, pass e^{-ik.b} times the lab-frame field).
+    The field parts are the k-moments Re sum k_j conj(Y).psi_v
+    (translations) and Im sum k_j conj(Y).B (boosts)."""
+    g, y = tb.grid, psi_hat.conj()
+    trans = g.k_moments(np.sum(y * tb.soliton_hat, axis=0)).real
+    boost = g.k_moments(np.sum(y * tb.boost_hat, axis=0)).imag
+    return np.concatenate([trans, boost]) + tb.p_parts @ q - tb.q_parts @ p
 
 
 def omega_matrix_grid(tb: TangentBasis) -> np.ndarray:
-    """The 6x6 matrix with entries Omega(tau_l, tau_j) (l row, j column),
-    computed from grid inner products of the tangent fields."""
-    dk3 = tb.grid.dk**3
-    gram = np.einsum("lcxyz,jcxyz->lj", tb.field_hat.conj(), tb.field_hat)
-    out = np.imag(gram) * dk3
+    """The 6x6 matrix with entries Omega(tau_l, tau_j) (l row, j column).
+    Translation-translation and boost-boost field parts are
+    Im sum k_l k_j |f|^2 = 0, so the field part is [[0, -C], [C, 0]] with
+    C_lj = Re sum k_l k_j conj(psi_v).B dk^3, exactly antisymmetric."""
+    C = k_second_moments(
+        np.sum(tb.soliton_hat.conj() * tb.boost_hat, axis=0).real, tb.grid)
+    out = np.block([[np.zeros((3, 3)), -C], [C, np.zeros((3, 3))]])
     out += tb.q_parts @ tb.p_parts.T - tb.p_parts @ tb.q_parts.T
     return out
 
@@ -220,8 +224,9 @@ def symplectic_orthogonalize(Z: PhaseState, tb: TangentBasis,
     r = _omega_rows(tb, phase.conj() * Zk.psi.data, Zk.q, Zk.p)
     M = omega_matrix_grid(tb).T        # M[j,l] = Omega(tau_l, tau_j)
     c = np.linalg.solve(M, r)
-    new_psi = Zk.psi.data - phase * np.tensordot(c, tb.field_hat,
-                                                 axes=(0, 0))
+    tangent = (1j * grid.k_dot(c[:3]) * tb.soliton_hat
+               + grid.k_dot(c[3:]) * tb.boost_hat)
+    new_psi = Zk.psi.data - phase * tangent
     new_q = Zk.q - c @ tb.q_parts
     new_p = Zk.p - c @ tb.p_parts
     return PhaseState(SpinorField(grid, new_psi, FOURIER), new_q, new_p)

@@ -11,6 +11,7 @@ from dirac_soliton.field_grid import (
     dirac_symbol,
     free_propagate,
     gaussian_packet,
+    k_second_moments,
     moving_frame_propagate,
     shift_field,
     spectral_derivative,
@@ -213,6 +214,28 @@ def test_dirac_symbol_squares_to_k2_plus_m2(grid, m, seed):
 @given(grid=GRIDS, a=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
 def test_phase_shift_is_exp_of_k_dot(grid, a):
     assert np.array_equal(grid.phase_shift(a), np.exp(1j * grid.k_dot(a)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, seed=SEEDS)
+def test_k_moments_match_the_direct_triple_sum(grid, seed):
+    w = _spinor_data(grid, seed)[0]
+    direct = np.array([grid.dk**3 * np.sum(k * w) for k in grid.k_axes])
+    scale = grid.dk**3 * np.sum(np.sqrt(grid.k2) * np.abs(w))
+    assert np.max(np.abs(grid.k_moments(w) - direct)) <= 1e-14 * scale
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=GRIDS, seed=SEEDS)
+def test_k_second_moments_match_the_direct_sum_and_are_symmetric(grid, seed):
+    w = _spinor_data(grid, seed)[0].real
+    ks = grid.k_axes
+    direct = np.array([[grid.dk**3 * np.sum(kl * kj * w) for kj in ks]
+                       for kl in ks])
+    got = k_second_moments(w, grid)
+    scale = grid.dk**3 * np.sum(grid.k2 * np.abs(w))
+    assert np.max(np.abs(got - direct)) <= 1e-14 * scale
+    assert np.array_equal(got, got.T)
 
 
 # ---------------------------------------------------------------------------

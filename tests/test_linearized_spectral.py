@@ -37,6 +37,7 @@ from dirac_soliton.quadrature import gauss_panels_1d, monte_carlo_gaussian_3d
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
     momentum_jacobian,
+    soliton_field_hat,
     soliton_state,
     tangent_basis,
 )
@@ -479,6 +480,19 @@ def test_apply_a_skew_symmetry():
         Z2 = _random_state(grid, 2 * seed + 1)
         s = omega(apply_A(op, Z1), Z2) + omega(Z1, apply_A(op, Z2))
         assert abs(s) < 1e-12 * Z1.energy_norm() * Z2.energy_norm()
+
+
+def test_force_coupling_is_symmetric_and_matches_the_direct_sum():
+    grid = GridSpec(20.0, 32)
+    for v in (V6, np.array([0.3, 0.1, -0.2])):
+        op = linearized_operator(v, v, RHO, grid)
+        assert np.array_equal(op.force_coupling, op.force_coupling.T)
+        psi0 = soliton_field_hat(v, RHO, grid)[0]
+        direct = np.array([[grid.dk**3 * np.real(np.sum(ki * kl * psi0
+                                                        * op.rho_hat))
+                            for kl in grid.k_axes] for ki in grid.k_axes])
+        err = np.max(np.abs(op.force_coupling - direct))
+        assert err <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_linearized_operator_validation():

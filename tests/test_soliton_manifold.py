@@ -106,7 +106,8 @@ def test_soliton_rejects_superluminal():
 
 def test_tangent_basis_structure():
     tb = tangent_basis([0.2, 0, 0], RHO, GRID)
-    assert tb.field_hat.shape == (6, 4, GRID.N, GRID.N, GRID.N)
+    assert tb.soliton_hat.shape == (4, GRID.N, GRID.N, GRID.N)
+    assert tb.boost_hat.shape == (4, GRID.N, GRID.N, GRID.N)
     assert np.array_equal(tb.q_parts[:3], np.eye(3))
     assert np.array_equal(tb.q_parts[3:], np.zeros((3, 3)))
     assert np.array_equal(tb.p_parts[:3], np.zeros((3, 3)))
@@ -119,6 +120,15 @@ def test_tangent_basis_carries_the_soliton():
     assert np.array_equal(tb.soliton_hat, soliton_field_hat(v, RHO, GRID))
 
 
+def test_tangent_basis_carries_two_spinor_fields_only():
+    # the six tangent fields are k_j multiples of soliton_hat and boost_hat,
+    # formed on demand; no (6, 4, N, N, N) array is stored
+    tb = tangent_basis([0.3, -0.2, 0.1], RHO, GRID)
+    carried = sum(value.nbytes for value in vars(tb).values()
+                  if isinstance(value, np.ndarray))
+    assert carried <= 2 * 4 * 16 * GRID.N**3 + 1024
+
+
 def test_tangent_dv_p_at_v0():
     tb = tangent_basis(np.zeros(3), RHO, GRID)
     assert np.array_equal(tb.p_parts[3:], np.eye(3))
@@ -127,7 +137,7 @@ def test_tangent_dv_p_at_v0():
 def test_dv_field_at_v0_closed_form():
     # At v=0: d_{v_j} psi_hat = k_j (rho_hat + 0) / (k^2+m^2), spinor
     # component 1 only from the rho term.
-    hat = tangent_basis(np.zeros(3), RHO, GRID).field_hat[3]
+    hat = tangent_basis(np.zeros(3), RHO, GRID).phase_state(3).psi.data
     k1 = GRID.k_axes[0]
     D = GRID.k2 + RHO.mass**2
     expected0 = k1 * RHO.fourier(GRID.k2) / D
@@ -143,7 +153,7 @@ def test_dv_field_matches_central_difference():
         e[j] = eps
         fd = (soliton_field_hat(v + e, RHO, GRID)
               - soliton_field_hat(v - e, RHO, GRID)) / (2 * eps)
-        an = tangent_basis(v, RHO, GRID).field_hat[3 + j]
+        an = tangent_basis(v, RHO, GRID).phase_state(3 + j).psi.data
         scale = np.max(np.abs(an)) if np.max(np.abs(an)) > 0 else 1.0
         assert np.max(np.abs(fd - an)) / scale < 1e-4, j
 
@@ -157,7 +167,7 @@ def test_translation_tangent_matches_shift_difference():
     eps = 1e-3
     e = np.array([eps, 0.0, 0.0])
     fd = (GRID.phase_shift(e) * hat - GRID.phase_shift(-e) * hat) / (2 * eps)
-    an = tb.field_hat[0]
+    an = tb.phase_state(0).psi.data
     assert np.max(np.abs(fd - an)) / np.max(np.abs(an)) < 1e-5
 
 

@@ -276,6 +276,44 @@ def test_projection_rows_vanish_in_lab_frame_and_covary(b, v, a, seed):
     assert np.max(np.abs(moved.params.v - res.params.v)) < 1e-8
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(N=st.sampled_from([8, 16]), L=st.floats(10.0, 40.0), v=_VELOCITIES,
+       b=_OFFSETS, seed=st.integers(0, 2**16))
+def test_gram_and_rows_match_the_generic_omega(N, L, v, b, seed):
+    # the k-moment Gram matrix and rows against omega() on the tangent
+    # fields that phase_state forms
+    grid = GridSpec(L, N)
+    tb = tangent_basis(v, RHO, grid)
+    taus = [tb.phase_state(j) for j in range(6)]
+    tau_scale = max(t.energy_norm() for t in taus)
+    M = omega_matrix_grid(tb)
+    generic = np.array([[omega(tl, tj) for tj in taus] for tl in taus])
+    assert np.max(np.abs(M - generic)) <= 1e-13 * tau_scale**2
+    assert np.array_equal(M, -M.T)
+    Y = _random_state(grid, np.random.default_rng(seed))
+    rows = _omega_rows(tb, grid.phase_shift(-np.asarray(b)) * Y.psi.data,
+                       Y.q, Y.p)
+    generic_rows = [omega(Y, tb.phase_state(j, b)) for j in range(6)]
+    assert (np.max(np.abs(rows - generic_rows))
+            <= 1e-13 * Y.energy_norm() * tau_scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(b=_OFFSETS, v=_VELOCITIES, amp=st.floats(0.01, 1.0),
+       seed=st.integers(0, 2**16))
+def test_projection_of_soliton_plus_orthogonal_data_returns_sigma(b, v, amp,
+                                                                  seed):
+    grid = GridSpec(20.0, 16)
+    sigma = SolitonParams(b, v)
+    raw = _random_state(grid, np.random.default_rng(seed), amp=amp)
+    W = symplectic_orthogonalize(raw, tangent_basis(v, RHO, grid), b)
+    res = project_to_manifold(soliton_state(sigma, RHO, grid) + W, RHO,
+                              sigma_guess=sigma)
+    assert res.iterations == 0
+    assert np.max(np.abs(res.params.b - sigma.b)) < 1e-10
+    assert np.max(np.abs(res.params.v - sigma.v)) < 1e-10
+
+
 def test_projection_exact_on_orthogonal_perturbation():
     # a perturbation symplectically orthogonal to the tangent space at
     # sigma leaves the projected parameters unchanged
