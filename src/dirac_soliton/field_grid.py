@@ -165,10 +165,18 @@ class SpinorField:
 
 
 def k_second_moments(w: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """dk^3 sum k_l k_j w over the k-grid as a 3x3 matrix; the upper
-    triangle is mirrored, so the result is symmetric bit for bit."""
-    m = np.array([grid.k_moments(kl * w) for kl in grid.k_axes])
-    return np.triu(m) + np.triu(m, 1).T
+    """dk^3 sum k_l k_j w over the k-grid as a 3x3 matrix, symmetric bit
+    for bit. w is summed down to each pair of axes first (three passes
+    over N^3), and the moments are taken on those planes, so no k-weighted
+    N^3 array is formed."""
+    k = grid.k1d
+    kk = k * k
+    w01, w02, w12 = w.sum(axis=2), w.sum(axis=1), w.sum(axis=0)
+    m01, m02, m12 = k @ w01 @ k, k @ w02 @ k, k @ w12 @ k
+    return grid.dk**3 * np.array(
+        [[kk @ w01.sum(axis=1), m01, m02],
+         [m01, kk @ w01.sum(axis=0), m12],
+         [m02, m12, kk @ w02.sum(axis=0)]])
 
 
 def zero_field(grid: GridSpec, space: str = POSITION) -> SpinorField:

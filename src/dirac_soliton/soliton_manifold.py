@@ -74,15 +74,22 @@ def _rho_spinor_hat(grid: GridSpec, rho: ChargeDensity) -> np.ndarray:
 
 
 def soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
-    """psi_v_hat on the k-grid, shape (4, N, N, N)."""
+    """psi_v_hat on the k-grid, shape (4, N, N, N). Since rho_hat e_0 has
+    one component, ((v.k) - D(k)) rho_hat e_0 is written out:
+    psi_v_hat = rho_hat / D * (v.k - m, 0, k_3, k_1 + i k_2)."""
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) >= 1.0:
         raise ValueError("|v| must be < 1")
     m = rho.mass
     vk = grid.k_dot(v)
-    den = grid.k2 + m * m - vk**2
-    rs = _rho_spinor_hat(grid, rho)
-    return (vk * rs - dirac_symbol(rs, grid, m)) / den
+    r = rho.fourier(grid.k2) / (grid.k2 + m * m - vk**2)
+    k1, k2_, k3 = grid.k_axes
+    out = np.empty((4, grid.N, grid.N, grid.N), dtype=complex)
+    out[0] = (vk - m) * r
+    out[1] = 0.0
+    out[2] = k3 * r
+    out[3] = (k1 + 1j * k2_) * r
+    return out
 
 
 def soliton_field(v, rho: ChargeDensity, grid: GridSpec,

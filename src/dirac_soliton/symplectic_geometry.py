@@ -19,8 +19,8 @@ from .quadrature import QuadResult, tensor_trapezoid_3d
 from .soliton_manifold import (
     SolitonParams,
     TangentBasis,
+    soliton_field_hat,
     soliton_momentum,
-    soliton_state,
     tangent_basis,
     velocity_from_momentum,
 )
@@ -40,17 +40,31 @@ def omega(Y1: PhaseState, Y2: PhaseState) -> float:
     return field_part + float(Y1.q @ Y2.p - Y1.p @ Y2.q)
 
 
+def _pairings(tb: TangentBasis, psi_hat: np.ndarray):
+    """sum conj(Y).psi_v and sum conj(Y).B over the spinor index, for Y
+    given by raw k-space field data in the comoving frame of the basis;
+    the Omega rows and the projection's Jacobian are k-moments of these."""
+    y = psi_hat.conj()
+    return np.sum(y * tb.soliton_hat, axis=0), np.sum(y * tb.boost_hat, axis=0)
+
+
+def _rows(tb: TangentBasis, pairings, q: np.ndarray,
+          p: np.ndarray) -> np.ndarray:
+    """Omega(Y, tau_j) for all six j from Y's pairings with the basis: the
+    field parts are Re sum k_j conj(Y).psi_v (translations) and
+    Im sum k_j conj(Y).B (boosts)."""
+    sP, sB = pairings
+    g = tb.grid
+    field_part = np.concatenate([g.k_moments(sP).real, g.k_moments(sB).imag])
+    return field_part + tb.p_parts @ q - tb.q_parts @ p
+
+
 def _omega_rows(tb: TangentBasis, psi_hat: np.ndarray, q: np.ndarray,
                 p: np.ndarray) -> np.ndarray:
     """Omega(Y, tau_j) for all six j at once; Y given by raw k-space field
     data plus (q, p), the field taken in the comoving frame of the basis
-    (for tau_j translated to b, pass e^{-ik.b} times the lab-frame field).
-    The field parts are the k-moments Re sum k_j conj(Y).psi_v
-    (translations) and Im sum k_j conj(Y).B (boosts)."""
-    g, y = tb.grid, psi_hat.conj()
-    trans = g.k_moments(np.sum(y * tb.soliton_hat, axis=0)).real
-    boost = g.k_moments(np.sum(y * tb.boost_hat, axis=0)).imag
-    return np.concatenate([trans, boost]) + tb.p_parts @ q - tb.q_parts @ p
+    (for tau_j translated to b, pass e^{-ik.b} times the lab-frame field)."""
+    return _rows(tb, _pairings(tb, psi_hat), q, p)
 
 
 def omega_matrix_grid(tb: TangentBasis) -> np.ndarray:
@@ -143,9 +157,31 @@ class ProjectionResult:
 
 
 class ProjectionError(RuntimeError):
-    """Raised when the Newton solve does not converge (state left the
+    """Raised when the Newton solve does not converge, or converges to a
+    root that is not continued from the manifold (state left the
     neighborhood of the solitary manifold where the projection is
     defined)."""
+
+
+def _jacobian_defect(tb: TangentBasis, pairings, dq: np.ndarray,
+                     m: float) -> np.ndarray:
+    """The exact Jacobian of project_to_manifold's residual at the point of
+    tb minus the chord matrix -Omega(tau_l, tau_j)^T: the symmetric terms
+    linear in the defect, from its pairings sP, sB and dq = q_Y - b. The
+    boost-boost term uses d_{v_l}(k_j B) = k_j k_l (2 psi_v + 4 (v.k) B) / D
+    and d_{v_l} M_v = gamma^3 v_l E + 3 gamma^5 v_l v (x) v
+                      + gamma^3 (e_l (x) v + v (x) e_l)."""
+    sP, sB = pairings
+    g, v = tb.grid, tb.v
+    vk = g.k_dot(v)
+    mP = k_second_moments(sP, g)
+    mB = k_second_moments(sB, g).real
+    mV = k_second_moments((2.0 * sP + 4.0 * vk * sB)
+                          / (g.k2 + m * m - vk**2), g).imag
+    gam, vd = 1.0 / np.sqrt(1.0 - float(v @ v)), float(v @ dq)
+    slope = (gam**3 * (np.outer(dq, v) + np.outer(v, dq) + vd * np.eye(3))
+             + 3.0 * gam**5 * vd * np.outer(v, v))
+    return np.block([[-mP.imag, mB], [mB, mV + slope]])
 
 
 def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
@@ -157,11 +193,31 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     with the transversal component Z = Y - S(sigma).
 
     The rows are taken in the comoving frame of sigma, as Omega of
-    (e^{-ik.b} psi_hat - psi_v_hat, q - b, p - p_v) against tau_j(0, v).
+    (W - psi_v_hat, q - b, p - p_v) against tau_j(0, v), with
+    W = e^{-ik.b} psi_hat. Write dpsi = W - psi_v_hat, D = k^2 + m^2 -
+    (v.k)^2, sP = sum conj(dpsi).psi_v_hat and sB = sum conj(dpsi).B over
+    the spinor index, C = M2(Re sum conj(psi_v_hat).B) and
+    M2(w) = k_second_moments(w). The rows are r = (Re M1(sP) - (p - p_v),
+    Im M1(sB) + M_v (q - b)) with M1 = GridSpec.k_moments and
+    M_v = momentum_jacobian(v).
 
-    Damped Newton on sigma in R^6; the Jacobian is approximated by the
-    invertible matrix -Omega(tau_l, tau_j), exact up to O(||Z||). The
-    initial guess defaults to (q, v(p)) read off the state.
+    Damped Newton on sigma in R^6 with the exact Jacobian, rows r_j and
+    columns (b, v):
+        J[:3, :3] = -Im M2(sP)
+        J[:3, 3:] =  Re M2(sB) - C + M_v
+        J[3:, :3] =  Re M2(sB) + C - M_v
+        J[3:, 3:] =  Im M2((2 sP + 4 (v.k) sB) / D)
+                     + sum_i d_{v_l} (M_v)_{ji} (q - b)_i,
+    formed from the sums the residual took at the current point; without
+    the terms in sP, sB and q - b it is the chord matrix -Omega(tau_l,
+    tau_j)^T. Convergence is quadratic near the root. The initial guess
+    defaults to (q, v(p)) read off the state.
+
+    A root counts as converged only if it is the projection continued from
+    the manifold: J = chord (I - X) with X linear in Z, and the spectral
+    radius of X must be below 1, so that the Jacobian stays invertible on
+    the whole segment from S(sigma) to Y. Far from the manifold exact
+    Newton can find roots that fail this.
     """
     Yk = Y.to_fourier()
     grid = Y.grid
@@ -176,15 +232,20 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
         nonlocal tb
         if tb is None or not np.array_equal(tb.v, v_):
             tb = tangent_basis(v_, rho, grid)
-        dpsi = grid.phase_shift(-b_) * Yk.psi.data - tb.soliton_hat
-        return _omega_rows(tb, dpsi, Yk.q - b_, Yk.p - soliton_momentum(v_))
+        sums = _pairings(tb, grid.phase_shift(-b_) * Yk.psi.data
+                         - tb.soliton_hat)
+        return _rows(tb, sums, Yk.q - b_,
+                     Yk.p - soliton_momentum(v_)), sums
 
-    r = residuals_at(b, v)
+    r, sums = residuals_at(b, v)
     scale = max(1.0, Yk.psi.norm())
     it = 0
     converged = bool(np.max(np.abs(r)) <= tol * scale)
     while not converged and it < max_iter:
-        J = -omega_matrix_grid(tb).T
+        # tb and sums belong to the current point: it was the last one
+        # evaluated, at the start or as the accepted trial
+        J = (_jacobian_defect(tb, sums, Yk.q - b, rho.mass)
+             - omega_matrix_grid(tb).T)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -194,24 +255,39 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
             b_new = b + step * delta[:3]
             v_new = v + step * delta[3:]
             if np.linalg.norm(v_new) < 1.0:
-                r_new = residuals_at(b_new, v_new)
+                r_new, sums_new = residuals_at(b_new, v_new)
                 if np.max(np.abs(r_new)) < np.max(np.abs(r)):
                     break
             step *= 0.5
         else:
             break
-        b, v, r = b_new, v_new, r_new
+        b, v, r, sums = b_new, v_new, r_new, sums_new
         it += 1
         converged = bool(np.max(np.abs(r)) <= tol * scale)
 
+    if not converged:
+        failure = (f"projection did not converge: max residual "
+                   f"{np.max(np.abs(r)):.3e} after {it} iterations")
+    else:
+        # sigma stays a root along S(sigma) + t Z, where the Jacobian is
+        # chord (I - t X); rho(X) < 1 keeps it invertible for t in [0, 1]
+        X = np.linalg.solve(-omega_matrix_grid(tb).T,
+                            _jacobian_defect(tb, sums, Yk.q - b, rho.mass))
+        radius = float(np.max(np.abs(np.linalg.eigvals(X))))
+        converged = radius < 1.0
+        failure = (f"the root is not continued from the manifold: the "
+                   f"Jacobian's defect has spectral radius {radius:.3f} >= 1 "
+                   f"relative to -Omega(tau_l, tau_j)^T")
     if not converged and raise_on_failure:
-        raise ProjectionError(
-            f"projection did not converge: max residual {np.max(np.abs(r)):.3e}"
-            f" after {it} iterations")
+        raise ProjectionError(failure)
     params = SolitonParams(b, v)
-    Z = Yk - soliton_state(params, rho, grid).to_fourier()
-    return ProjectionResult(params=params, Z=Z, residuals=r, iterations=it,
-                            converged=converged)
+    # tb holds psi_v unless the line search ended on a rejected trial
+    hat = (tb.soliton_hat if np.array_equal(tb.v, params.v)
+           else soliton_field_hat(params.v, rho, grid))
+    S = PhaseState(SpinorField(grid, grid.phase_shift(params.b) * hat,
+                               FOURIER), params.b, params.p_v)
+    return ProjectionResult(params=params, Z=Yk - S, residuals=r,
+                            iterations=it, converged=converged)
 
 
 def symplectic_orthogonalize(Z: PhaseState, tb: TangentBasis,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirac_soliton import coupled_dynamics
 from dirac_soliton.coupled_dynamics import (
     IntegratorError,
     ScatteringData,
@@ -344,3 +345,36 @@ def test_field_step_matches_the_full_step_duhamel_form(case, dt):
     got = _field_step(psi, rho, q, dt)
     assert got.space == FOURIER
     assert np.linalg.norm(got.data - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_simulate_warm_starts_each_projection_advanced_by_v_dt(monkeypatch):
+    # each tracking projection starts from the previous fit moved along
+    # the manifold by v times the actual sample interval: sample_every =
+    # 0.05 at dt = 0.03 rounds to a stride of 2 steps, 0.06 in time
+    real = coupled_dynamics.project_to_manifold
+    guesses, fits = [], []
+
+    def recording(state, rho, sigma_guess=None, **kwargs):
+        res = real(state, rho, sigma_guess=sigma_guess, **kwargs)
+        guesses.append(sigma_guess)
+        fits.append(res.params)
+        return res
+
+    monkeypatch.setattr(coupled_dynamics, "project_to_manifold", recording)
+    grid = GridSpec(20.0, 16)
+    v = np.array([0.3, 0.2, -0.1])
+    S = soliton_state(SolitonParams(np.zeros(3), v), RHO, grid).to_fourier()
+    pert = gaussian_packet(grid, width=1.2, center=np.array([1.0, 0.0, 0.0]),
+                           spinor=(1.0, 0.5, 0.0, 0.0),
+                           amplitude=0.03).to_fourier()
+    first = SolitonParams(np.zeros(3), v)
+    cfg = SimulationConfig(dt=0.03, t_final=0.6, track_modulation=True,
+                           sample_every=0.05, sigma_guess=first)
+    traj = simulate(PhaseState(S.psi + pert, S.q, S.p), RHO, cfg)
+    assert traj.tracking_failed_at is None
+    assert len(guesses) == traj.sample_times.size == 11
+    assert guesses[0] is first
+    for guess, prev in zip(guesses[1:], fits[:-1]):
+        np.testing.assert_allclose(guess.b, prev.b + prev.v * 0.06,
+                                   rtol=0, atol=1e-15)
+        assert np.array_equal(guess.v, prev.v)

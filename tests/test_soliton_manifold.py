@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirac_soliton.field_grid import GridSpec, apply_alpha_dot_k
+from dirac_soliton.field_grid import GridSpec, apply_alpha_dot_k, dirac_symbol
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
     force_balance,
@@ -208,3 +208,23 @@ def test_params_validation():
         SolitonParams(b=np.zeros(3), v=[0.8, 0.8, 0.0])
     with pytest.raises(ValueError):
         SolitonParams(b=np.zeros(2), v=np.zeros(3))
+
+
+def _soliton_hat_by_dirac_symbol(v, rho, grid):
+    # the general route: ((v.k) - D(k)) rho_hat e_0 / D with the block
+    # kernel applied to the full spinor rho_hat e_0
+    rs = np.zeros((4, grid.N, grid.N, grid.N), dtype=complex)
+    rs[0] = rho.fourier(grid.k2)
+    vk = grid.k_dot(v)
+    den = grid.k2 + rho.mass**2 - vk**2
+    return (vk * rs - dirac_symbol(rs, grid, rho.mass)) / den
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.6, 0.0, 0.0),
+                               (0.3, -0.4, 0.2), (-0.1, 0.5, -0.7)])
+def test_closed_form_soliton_matches_the_dirac_symbol_route(v):
+    grid = GridSpec(L=20.0, N=16)
+    hat = soliton_field_hat(v, RHO, grid)
+    oracle = _soliton_hat_by_dirac_symbol(np.asarray(v), RHO, grid)
+    assert np.max(np.abs(hat - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+    assert not np.any(hat[1])

@@ -22,7 +22,9 @@ from dirac_soliton.soliton_manifold import (
 from dirac_soliton.spinor_algebra import ChargeDensity
 from dirac_soliton.symplectic_geometry import (
     ProjectionError,
+    _jacobian_defect,
     _omega_rows,
+    _pairings,
     matrix_K,
     omega,
     omega_matrix_grid,
@@ -394,3 +396,75 @@ def test_orthogonalize_zeroes_all_rows():
     assert np.max(np.abs(Zoo.psi.data - Zo.psi.data)) < 1e-13
     assert np.max(np.abs(Zoo.q - Zo.q)) < 1e-13
     assert np.max(np.abs(Zoo.p - Zo.p)) < 1e-13
+
+
+def _perturbed(grid, b, v, rng, amplitude=0.05):
+    S = soliton_state(SolitonParams(b, v), RHO, grid)
+    pert = gaussian_packet(grid, width=1.2,
+                           center=S.q + rng.uniform(-1.5, 1.5, 3),
+                           spinor=rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                           amplitude=amplitude).to_fourier()
+    return PhaseState(S.psi + pert, S.q + 0.01 * rng.standard_normal(3),
+                      S.p + 0.01 * rng.standard_normal(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(N=st.sampled_from([8, 16]), v=_VELOCITIES, b=_OFFSETS,
+       seed=st.integers(0, 2**16))
+def test_projection_jacobian_matches_central_difference(N, v, b, seed):
+    # the exact Jacobian of the residual r_j(sigma) = Omega(Y - S(sigma),
+    # tau_j(sigma)) against a central difference of the generic omega(),
+    # at a point off the root
+    grid = GridSpec(20.0, N)
+    rng = np.random.default_rng(seed)
+    Y = _perturbed(grid, b, v, rng)
+    sigma = np.concatenate([b, v]) + rng.uniform(-0.05, 0.05, 6)
+
+    def residual(s):
+        params = SolitonParams(s[:3], s[3:])
+        Z = Y - soliton_state(params, RHO, grid)
+        tb = tangent_basis(params.v, RHO, grid)
+        return np.array([omega(Z, tb.phase_state(j, params.b))
+                         for j in range(6)])
+
+    tb = tangent_basis(sigma[3:], RHO, grid)
+    sums = _pairings(tb, grid.phase_shift(-sigma[:3]) * Y.psi.data
+                     - tb.soliton_hat)
+    J = (_jacobian_defect(tb, sums, Y.q - sigma[:3], RHO.mass)
+         - omega_matrix_grid(tb).T)
+    h = 1e-6
+    fd = np.column_stack([(residual(sigma + h * e) - residual(sigma - h * e))
+                          / (2.0 * h) for e in np.eye(6)])
+    assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+
+def test_projection_converges_quadratically_from_a_near_guess():
+    # from a guess about 1e-2 off the root the Newton residuals square at
+    # each iteration; a chord iteration only shrinks them by a fixed factor
+    grid = GridSpec(20.0, 16)
+    rng = np.random.default_rng(2)
+    Y = _perturbed(grid, [1.0, -0.5, 0.3], _V_OBLIQUE, rng)
+    root = project_to_manifold(Y, RHO, tol=1e-12).params
+    guess = SolitonParams(root.b + 1e-2 * rng.standard_normal(3),
+                          root.v + 1e-2 * rng.standard_normal(3))
+    res = project_to_manifold(Y, RHO, sigma_guess=guess)
+    assert res.converged and res.iterations <= 3
+    r1, r2 = (np.max(np.abs(project_to_manifold(
+        Y, RHO, sigma_guess=guess, max_iter=k,
+        raise_on_failure=False).residuals)) for k in (1, 2))
+    assert r2 <= 5.0 * r1**2
+
+
+def test_projection_refuses_a_root_not_continued_from_the_manifold():
+    # a bare packet far larger than the soliton: exact Newton finds a root
+    # of the six rows, but the Jacobian's defect relative to the Gram
+    # matrix has spectral radius above 1, so the root is not the
+    # projection continued from the manifold
+    grid = GridSpec(20.0, 16)
+    Y = PhaseState(gaussian_packet(grid, amplitude=6.0).to_fourier(),
+                   np.zeros(3), np.zeros(3))
+    res = project_to_manifold(Y, RHO, raise_on_failure=False)
+    assert np.max(np.abs(res.residuals)) <= 1e-10 * Y.psi.norm()
+    assert not res.converged
+    with pytest.raises(ProjectionError, match="not continued"):
+        project_to_manifold(Y, RHO)
