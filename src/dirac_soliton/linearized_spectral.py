@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import exp1
+from scipy.special import exp1, expi
 
 from .field_grid import (FOURIER, GridSpec, SpinorField, dirac_symbol,
                          k_second_moments)
@@ -46,14 +46,8 @@ from .soliton_manifold import (
     soliton_field_hat,
     tangent_basis,
 )
-from .spinor_algebra import ChargeDensity, build_dirac_matrices
+from .spinor_algebra import ChargeDensity
 from .symplectic_geometry import K_QUAD_NODES, _omega_rows, matrix_K
-
-_DIRAC = build_dirac_matrices()
-
-# Boundary values H(i w + 0) on the cut are obtained by evaluating at
-# lambda = eps + i w for these eps and extrapolating polynomially to 0.
-CUT_EPSILONS = (1e-2, 1e-3, 1e-4)
 
 # Below this |omega| the pencil is inverted through the factorized block
 # formulas instead of np.linalg.inv (the direct inverse loses all digits
@@ -219,30 +213,49 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity,
         H_11 = pi C     int k_1^2 e^{-sigma^2 k_1^2} I_0(c) dk_1,
         H_22 = H_33 = (pi C / 2) int e^{-sigma^2 k_1^2} I_1(c) dk_1,
         I_0 = e^{sigma^2 c} E_1(sigma^2 c),   I_1 = 1/sigma^2 - c I_0.
+
+    On the cut, lambda = i w with |w| >= mu, the integrand is its limit
+    from Re lambda > 0 (Sokhotski-Plemelj). There c is real, factored as
+    c = (1 - v^2)(k_1 - k_-)(k_1 - k_+) with the cut endpoints k_-+ so
+    that it keeps its relative accuracy between close endpoints, and
+    Im c -> 0 with the sign of |v| k_1 + w. Where x = sigma^2 c < 0,
+    I_0 = e^x (-Ei(-x)) - i pi sign(|v| k_1 + w) e^x.
     """
     m = rho.mass
     s2 = rho.sigma**2
     C = rho.mass * rho.amplitude**2 * rho.sigma**6
+    b = lam.imag
+    ends = cut_endpoints(b, speed, rho)
+    on_cut = ends is not None and lam.real == 0.0
 
     def integrand(k1):
-        c = k1**2 + m * m - (speed * k1 - 1j * lam) ** 2
-        i0 = _scaled_e1(s2 * c)
+        if on_cut:
+            c = (1.0 - speed * speed) * (k1 - ends[0]) * (k1 - ends[1])
+            x = s2 * c
+            # below x = -30 e^x Ei(-x) overflows; _scaled_e1 is asymptotic
+            mid = (x < 0.0) & (x > -30.0)
+            i0 = np.empty(x.shape, dtype=complex)
+            i0[~mid] = _scaled_e1(x[~mid])
+            i0[mid] = -np.exp(x[mid]) * expi(-x[mid])
+            neg = x < 0.0
+            i0[neg] -= 1j * np.pi * np.exp(x[neg]) * np.sign(
+                speed * k1[neg] + b)
+        else:
+            c = k1**2 + m * m - (speed * k1 - 1j * lam) ** 2
+            i0 = _scaled_e1(s2 * c)
         i1 = 1.0 / s2 - c * i0
         gauss = np.exp(-s2 * k1**2)
         return np.stack([np.pi * C * k1**2 * gauss * i0,
                          0.5 * np.pi * C * gauss * i1])
 
     gamma2 = 1.0 / (1.0 - speed * speed)
-    b = lam.imag
     kmax = 8.0 / rho.sigma + abs(gamma2 * speed * b)
     breaks = [gamma2 * speed * b]
-    mu = m / np.sqrt(gamma2)
-    if abs(lam.real) <= 0.05 and abs(b) >= mu:
-        # Near the cut the integrand has log spikes of width ~ Re lambda at
-        # the endpoints below; decadal breakpoint shells let the clustered
-        # Gauss panels resolve them down to the smallest pinned epsilon.
-        root = np.sqrt(b * b - mu * mu)
-        for kc in (gamma2 * (speed * b - root), gamma2 * (speed * b + root)):
+    if ends is not None and abs(lam.real) <= 0.05:
+        # At and near the cut the integrand has log spikes (of width
+        # ~ Re lambda off the axis) at the endpoints; decadal breakpoint
+        # shells let the clustered Gauss panels resolve them.
+        for kc in ends:
             breaks.append(kc)
             breaks += [kc + off for off in
                        (1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
@@ -251,7 +264,7 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity,
     res = gauss_panels_1d(integrand, -kmax, kmax, breakpoints=breaks,
                           order=order, panels_per_interval=panels)
     h11, h22 = res.value
-    return QuadResult(np.diag([h11, h22, h22]), res.error)
+    return QuadResult(np.diag([h11, h22, h22]), lambda: res.error)
 
 
 def matrix_L(v, rho: ChargeDensity, n: int = K_QUAD_NODES,
@@ -285,10 +298,9 @@ def matrix_H(lam, v, rho: ChargeDensity, order: int = 40,
     value needs a side prescription; use matrix_H_on_axis for that."""
     s = _frame_speed(v)
     lam = complex(lam)
-    mu = rho.mass * np.sqrt(1.0 - s * s)
     if lam.real < 0.0:
         raise ValueError("Re lambda must be >= 0")
-    if lam.real == 0.0 and abs(lam.imag) >= mu:
+    if lam.real == 0.0 and cut_endpoints(lam.imag, s, rho) is not None:
         raise ValueError("lambda lies on the spectral cut; use "
                          "matrix_H_on_axis for the limit from Re > 0")
     return _h_frame(lam, s, rho, order=order, panels=panels)
@@ -299,33 +311,12 @@ def matrix_H_on_axis(omega: float, v, rho: ChargeDensity, order: int = 40,
     """The boundary value H(i omega + 0).
 
     Below the branch points the axis point is regular and is evaluated
-    directly. On the cut the limit is taken by quadratic extrapolation in
-    eps of H(eps + i omega) over the pinned CUT_EPSILONS; the reported
-    error adds the gap to the linear extrapolant.
+    directly. On the cut (|omega| >= mu) one quadrature integrates the
+    exact boundary value of the integrand (see _h_frame). The error
+    estimate is the panel-doubling gap, computed when .error is read.
     """
-    s = _frame_speed(v)
-    omega = float(omega)
-    mu = rho.mass * np.sqrt(1.0 - s * s)
-    if abs(omega) < mu:
-        return _h_frame(1j * omega, s, rho, order=order, panels=panels)
-    evals = [_h_frame(eps + 1j * omega, s, rho, order=order, panels=panels)
-             for eps in CUT_EPSILONS]
-    eps = np.asarray(CUT_EPSILONS)
-    vals = np.stack([e.value for e in evals])
-
-    def neville(points):
-        xs, ys = eps[-points:], vals[-points:]
-        p = list(ys)
-        for level in range(1, points):
-            for i in range(points - level):
-                p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) \
-                    / (xs[i + level] - xs[i])
-        return p[0]
-
-    quad = neville(3)
-    lin = neville(2)
-    err = max(e.error for e in evals) + float(np.max(np.abs(quad - lin)))
-    return QuadResult(quad, err)
+    return _h_frame(1j * float(omega), _frame_speed(v), rho, order=order,
+                    panels=panels)
 
 
 # ---------------------------------------------------------------------------
@@ -582,26 +573,17 @@ def _real_pair_hat(psi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
     return x1.to_fourier().data, x2.to_fourier().data
 
 
-def _green_block_apply(grid: GridSpec, v: np.ndarray, rho: ChargeDensity,
-                       lam: complex):
-    """Closures (G11, G12) applying the Green multiplier blocks on the
-    k-grid. G21 = -G12 and G22 = G11."""
+def _green_first_row(grid: GridSpec, v: np.ndarray, rho: ChargeDensity,
+                     lam: complex, x1: np.ndarray, x2: np.ndarray):
+    """The first component of G^11 x1 + G^12 x2, the only one that pairs
+    with the single-component charge rho_1. With alpha_j = [[0, sigma_j],
+    [sigma_j, 0]] in 2x2 blocks it is (-i (k_3 x1_2 + k_1 x1_3)
+    - (i v.k + lambda) x1_0 - m x2_0 - i k_2 x2_3) / den."""
     k1, k2, k3 = grid.k_axes
     m = rho.mass
-    vk = grid.k_dot(v)
-    den = grid.k2 + m * m + (1j * vk + lam) ** 2
-
-    def g11(X):
-        a = np.tensordot(_DIRAC.alpha1, X, axes=(1, 0)) * k1
-        a += np.tensordot(_DIRAC.alpha3, X, axes=(1, 0)) * k3
-        return (-1j * a - (1j * vk + lam) * X) / den
-
-    def g12(X):
-        out = -m * np.tensordot(_DIRAC.beta, X, axes=(1, 0))
-        out += k2 * np.tensordot(_DIRAC.alpha2, X, axes=(1, 0))
-        return out / den
-
-    return g11, g12
+    shift = 1j * grid.k_dot(v) + lam
+    return (-1j * (k3 * x1[2] + k1 * x1[3]) - shift * x1[0] - m * x2[0]
+            - 1j * k2 * x2[3]) / (grid.k2 + m * m + shift**2)
 
 
 def phi_lambda(Psi0: SpinorField, lam, v, rho: ChargeDensity) -> np.ndarray:
@@ -614,9 +596,8 @@ def phi_lambda(Psi0: SpinorField, lam, v, rho: ChargeDensity) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     grid = Psi0.grid
     x1, x2 = _real_pair_hat(Psi0)
-    g11, g12 = _green_block_apply(grid, v, rho, complex(lam))
-    t1 = -g11(x1) - g12(x2)
-    return 1j * grid.k_moments(t1[0] * rho.fourier(grid.k2))
+    t1 = -_green_first_row(grid, v, rho, complex(lam), x1, x2)
+    return 1j * grid.k_moments(t1 * rho.fourier(grid.k2))
 
 
 def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
@@ -628,12 +609,11 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     grid = Psi0.grid
     x1, x2 = _real_pair_hat(Psi0)
-    g11, g12 = _green_block_apply(grid, v, rho, complex(0.0))
     m = rho.mass
     vk = grid.k_dot(v)
-    den = grid.k2 + m * m - vk**2
-    u1 = (x1 + 2j * vk * (g11(x1) + g12(x2))) / den
-    return 1j * grid.k_moments(u1[0] * rho.fourier(grid.k2))
+    u1 = (x1[0] + 2j * vk * _green_first_row(grid, v, rho, complex(0.0), x1,
+                                              x2)) / (grid.k2 + m * m - vk**2)
+    return 1j * grid.k_moments(u1 * rho.fourier(grid.k2))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 One tolerance policy for every closed-form k-integral in the package:
 absolute target 1e-8, with a reported error estimate obtained from grid
-refinement (3D) or panel doubling (1D). Integrands here all carry the
+refinement (3D) or panel doubling (1D). The 1D estimate costs a second,
+coarse pass (Gauss-Legendre panels do not nest), so it is computed only
+for callers that read QuadResult.error. Integrands here all carry the
 Gaussian factor of the Wiener function, so the tensor-product trapezoid
 rule on [-k_max, k_max]^3 converges spectrally once the box covers the
 Gaussian support.
@@ -11,7 +13,8 @@ Gaussian support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,8 +24,17 @@ ABS_TOL_TARGET = 1e-8
 
 @dataclass(frozen=True)
 class QuadResult:
+    """A quadrature value and its error estimate. The estimate may be given
+    as a zero-argument callable; it then runs on the first read of .error,
+    and its result is kept."""
+
     value: np.ndarray
-    error: float
+    estimate: float | Callable[[], float]
+
+    @cached_property
+    def error(self) -> float:
+        e = self.estimate
+        return float(e() if callable(e) else e)
 
     def within_target(self, tol: float = ABS_TOL_TARGET) -> bool:
         return self.error <= tol
@@ -78,31 +90,31 @@ def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
     """Integrate f on [a, b] by composite Gauss-Legendre panels, splitting
     at the given interior breakpoints (integrable singularities allowed
     there). f must accept a 1D node array and may return a stack with the
-    node axis last. Error estimate from doubling the panel count.
+    node axis last. The value uses 2 * panels_per_interval panels per
+    interval; the error estimate, its gap to panels_per_interval panels,
+    runs only when .error is read.
     """
     pts = [a] + sorted(float(x) for x in breakpoints if a < x < b) + [b]
+    fine = _panel_sum(f, pts, order, 2 * panels_per_interval)
+    return QuadResult(fine, lambda: np.max(np.abs(
+        fine - _panel_sum(f, pts, order, panels_per_interval))))
 
+
+def _panel_sum(f, pts: list, order: int, nper: int):
+    """The composite rule with nper clustered panels between breakpoints."""
     xg, wg = _legendre_rule(order)
-
-    def run(nper):
-        total = None
-        for lo, hi in zip(pts, pts[1:]):
-            # Geometric clustering toward both interval ends, where the
-            # breakpoint singularities sit.
-            edges = _clustered_edges(lo, hi, nper)
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            wts = (half[:, None] * wg[None, :]).ravel()
-            vals = f(nodes)
-            contrib = np.sum(vals * wts, axis=-1)
-            total = contrib if total is None else total + contrib
-        return total
-
-    fine = run(2 * panels_per_interval)
-    coarse = run(panels_per_interval)
-    err = float(np.max(np.abs(fine - coarse)))
-    return QuadResult(fine, err)
+    total = None
+    for lo, hi in zip(pts, pts[1:]):
+        # Geometric clustering toward both interval ends, where the
+        # breakpoint singularities sit.
+        edges = _clustered_edges(lo, hi, nper)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        wts = (half[:, None] * wg[None, :]).ravel()
+        contrib = np.sum(f(nodes) * wts, axis=-1)
+        total = contrib if total is None else total + contrib
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -77,19 +77,27 @@ def soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
     """psi_v_hat on the k-grid, shape (4, N, N, N). Since rho_hat e_0 has
     one component, ((v.k) - D(k)) rho_hat e_0 is written out:
     psi_v_hat = rho_hat / D * (v.k - m, 0, k_3, k_1 + i k_2)."""
+    return _soliton_parts(v, rho, grid)[0]
+
+
+def _soliton_parts(v, rho: ChargeDensity, grid: GridSpec):
+    """(psi_v_hat, rho_hat, v.k, D) on the k-grid, for callers that reuse
+    the per-v arrays behind the soliton."""
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) >= 1.0:
         raise ValueError("|v| must be < 1")
     m = rho.mass
     vk = grid.k_dot(v)
-    r = rho.fourier(grid.k2) / (grid.k2 + m * m - vk**2)
+    rho_hat = rho.fourier(grid.k2)
+    den = grid.k2 + m * m - vk**2
+    r = rho_hat / den
     k1, k2_, k3 = grid.k_axes
     out = np.empty((4, grid.N, grid.N, grid.N), dtype=complex)
     out[0] = (vk - m) * r
     out[1] = 0.0
     out[2] = k3 * r
     out[3] = (k1 + 1j * k2_) * r
-    return out
+    return out, rho_hat, vk, den
 
 
 def soliton_field(v, rho: ChargeDensity, grid: GridSpec,
@@ -138,11 +146,10 @@ class TangentBasis:
 
 def tangent_basis(v, rho: ChargeDensity, grid: GridSpec) -> TangentBasis:
     v = np.asarray(v, dtype=float)
-    psi_hat = soliton_field_hat(v, rho, grid)
-    vk = grid.k_dot(v)
+    psi_hat, rho_hat, vk, den = _soliton_parts(v, rho, grid)
     boost = 2.0 * vk * psi_hat
-    boost[0] += rho.fourier(grid.k2)
-    boost /= grid.k2 + rho.mass**2 - vk**2
+    boost[0] += rho_hat
+    boost /= den
     q_parts = np.vstack([np.eye(3), np.zeros((3, 3))])
     p_parts = np.vstack([np.zeros((3, 3)), momentum_jacobian(v).T])
     return TangentBasis(grid, v, psi_hat, boost, q_parts, p_parts)

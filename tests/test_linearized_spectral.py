@@ -2,6 +2,7 @@
 cut boundary values, the closed-form translated kernel, and the
 symplectic-orthogonality functionals."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import exp1, expi, kv
@@ -15,6 +16,7 @@ from dirac_soliton.field_grid import (
     shift_field,
 )
 from dirac_soliton.linearized_spectral import (
+    _real_pair_hat,
     _scaled_e1,
     apply_A,
     boost_matrix,
@@ -41,7 +43,7 @@ from dirac_soliton.soliton_manifold import (
     soliton_state,
     tangent_basis,
 )
-from dirac_soliton.spinor_algebra import ChargeDensity
+from dirac_soliton.spinor_algebra import ChargeDensity, build_dirac_matrices
 from dirac_soliton.symplectic_geometry import omega, project_to_manifold
 
 RHO = ChargeDensity()
@@ -221,6 +223,56 @@ def _plemelj_oracle(omega_, speed):
     return np.diag([res.value[0], res.value[1], res.value[1]])
 
 
+def _mpmath_oracle(omega_, speed, dps=20):
+    """H(i w + 0) from mpmath's tanh-sinh quadrature of the same 1-D
+    boundary integrals over the real line, split at the cut endpoints
+    k_- and k_+ (where I_0 has its log singularities), at dps digits."""
+    with mp.workdps(dps):
+        m, s2 = mp.mpf(RHO.mass), mp.mpf(RHO.sigma) ** 2
+        C = m * mp.mpf(RHO.amplitude) ** 2 * mp.mpf(RHO.sigma) ** 6
+        w, v = mp.mpf(omega_), mp.mpf(speed)
+        g2 = 1 / (1 - v * v)
+        root = mp.sqrt(w * w - m * m / g2)
+        lo, hi = g2 * (v * w - root), g2 * (v * w + root)
+
+        def c_of(k):
+            return (1 - v * v) * (k - lo) * (k - hi)
+
+        def i0(k):
+            x = s2 * c_of(k)
+            if x == 0:     # a node rounded onto an endpoint; its weight is nil
+                return mp.mpf(0)
+            if x < 0:
+                return mp.exp(x) * (-mp.ei(-x)
+                                    - 1j * mp.pi * mp.sign(v * k + w))
+            return mp.exp(x) * mp.e1(x)
+
+        pts = [-mp.inf, lo, hi, mp.inf]
+        h11 = mp.quad(lambda k: mp.pi * C * k**2 * mp.exp(-s2 * k**2)
+                      * i0(k), pts)
+        h22 = mp.quad(lambda k: mp.pi * C / 2 * mp.exp(-s2 * k**2)
+                      * (1 / s2 - c_of(k) * i0(k)), pts)
+        return np.diag([complex(h11), complex(h22), complex(h22)])
+
+
+def test_matrix_h_cut_against_mpmath_near_branch_points():
+    mu = 0.8
+    for speed, om in ((0.6, mu + 1e-4), (0.6, mu + 1e-3), (0.6, -mu - 5e-4),
+                      (0.0, 1.0 + 1e-4)):
+        ax = matrix_H_on_axis(om, speed, RHO)
+        gap = np.max(np.abs(ax.value - _mpmath_oracle(om, speed)))
+        assert gap <= 1e-8
+        assert gap <= 10.0 * ax.error
+    # the invertibility scan's grid point next to mu: two cut endpoints
+    # about 3e-8 apart strain the oracle too, so only a loose bound
+    grid = np.linspace(-3.0, 3.0, 241)
+    om = grid[np.argmin(np.abs(grid - mu))]
+    assert 0.0 < om - mu < 1e-15
+    ax = matrix_H_on_axis(om, 0.6, RHO)
+    assert np.all(np.isfinite(ax.value))
+    assert np.max(np.abs(ax.value - _mpmath_oracle(om, 0.6))) < 1e-6
+
+
 def test_matrix_h_cut_extrapolation_against_plemelj():
     for om in (1.2, 3.0, -1.2):
         ax = matrix_H_on_axis(om, 0.6, RHO)
@@ -233,10 +285,10 @@ def test_matrix_h_cut_extrapolation_against_plemelj():
 
 
 def test_matrix_h_cut_near_branch_point_error_is_honest():
-    # eps-polynomial extrapolation degrades next to the branch point, but the
-    # reported error must cover the gap to the exact boundary value
+    # next to the branch point the reported error must still cover the gap
+    # to the exact boundary value
     ax = matrix_H_on_axis(0.81, 0.6, RHO)
-    oracle = _plemelj_oracle(0.81, 0.6)
+    oracle = _mpmath_oracle(0.81, 0.6)
     gap = np.max(np.abs(ax.value - oracle))
     assert gap < 5e-4
     assert gap < 10.0 * ax.error
@@ -573,6 +625,61 @@ def test_g_lambda_domain_errors():
 # ---------------------------------------------------------------------------
 # orthogonality functionals
 # ---------------------------------------------------------------------------
+
+def _green_blocks_dense(grid, v, rho, lam):
+    """Closures (G11, G12) applying the Green multiplier blocks with dense
+    4x4 Dirac matrices (tensordot over the spinor axis)."""
+    d = build_dirac_matrices()
+    k1, k2, k3 = grid.k_axes
+    m = rho.mass
+    vk = grid.k_dot(v)
+    den = grid.k2 + m * m + (1j * vk + lam) ** 2
+
+    def g11(X):
+        a = np.tensordot(d.alpha1, X, axes=(1, 0)) * k1
+        a += np.tensordot(d.alpha3, X, axes=(1, 0)) * k3
+        return (-1j * a - (1j * vk + lam) * X) / den
+
+    def g12(X):
+        out = -m * np.tensordot(d.beta, X, axes=(1, 0))
+        out += k2 * np.tensordot(d.alpha2, X, axes=(1, 0))
+        return out / den
+
+    return g11, g12
+
+
+def _phi_lambda_dense(psi, lam, v, rho):
+    grid = psi.grid
+    x1, x2 = _real_pair_hat(psi)
+    g11, g12 = _green_blocks_dense(grid, v, rho, complex(lam))
+    t1 = -g11(x1) - g12(x2)
+    return 1j * grid.k_moments(t1[0] * rho.fourier(grid.k2))
+
+
+def _phi_prime_zero_dense(psi, v, rho):
+    grid = psi.grid
+    x1, x2 = _real_pair_hat(psi)
+    g11, g12 = _green_blocks_dense(grid, v, rho, 0j)
+    vk = grid.k_dot(v)
+    den = grid.k2 + rho.mass**2 - vk**2
+    u1 = (x1 + 2j * vk * (g11(x1) + g12(x2))) / den
+    return 1j * grid.k_moments(u1[0] * rho.fourier(grid.k2))
+
+
+def test_phi_functionals_match_the_dense_green_blocks():
+    grid = GridSpec(20.0, 32)
+    psi = gaussian_packet(grid, width=1.4, center=(0.8, -0.5, 0.3),
+                          spinor=(0.6, 0.3j, -0.2, 0.4 - 0.1j),
+                          k0=(0.4, 0.2, -0.3), amplitude=0.7)
+    for v in (V6, np.array([0.3, -0.4, 0.2]), np.zeros(3)):
+        for lam in (0.0, 0.5, 0.3 + 1.1j, 2.0 - 0.4j):
+            dense = _phi_lambda_dense(psi, lam, v, RHO)
+            gap = np.max(np.abs(phi_lambda(psi, lam, v, RHO) - dense))
+            assert gap <= 1e-14 * np.max(np.abs(dense))
+        dense = _phi_prime_zero_dense(psi, v, RHO)
+        gap = np.max(np.abs(phi_prime_zero(psi, v, RHO) - dense))
+        assert gap <= 1e-14 * np.max(np.abs(dense))
+
 
 def test_phi_prime_matches_finite_difference():
     grid = GridSpec(20.0, 32)

@@ -47,6 +47,24 @@ def test_gauss_panels_gaussian_tail():
     assert res.error < 1e-10
 
 
+def test_gauss_panels_coarse_pass_runs_only_when_error_is_read():
+    nodes = []
+
+    def f(x):
+        nodes.append(x.size)
+        return np.exp(-(x**2))
+
+    res = gauss_panels_1d(f, 0.0, 10.0, breakpoints=(1.0, 3.0), order=20,
+                          panels_per_interval=4)
+    # the value alone is the fine pass: 8 panels of 20 nodes per interval
+    assert nodes == [160] * 3
+    first = res.error
+    assert nodes == [160] * 3 + [80] * 3
+    # the estimate is kept, not recomputed
+    assert res.error == first
+    assert len(nodes) == 6
+
+
 @settings(derandomize=True, deadline=None)
 @given(a=st.floats(-5.0, 5.0), width=st.floats(0.1, 5.0),
        cuts=st.lists(st.floats(0.01, 0.99), max_size=4),

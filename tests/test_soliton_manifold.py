@@ -120,6 +120,31 @@ def test_tangent_basis_carries_the_soliton():
     assert np.array_equal(tb.soliton_hat, soliton_field_hat(v, RHO, GRID))
 
 
+def _tangent_fields_two_pass(v, rho, grid):
+    """(psi_v_hat, B) with rho_hat, v.k and D formed twice: once inside
+    soliton_field_hat and once more for B = (rho_hat e_0 + 2 (v.k) psi_v_hat)
+    / D."""
+    psi_hat = soliton_field_hat(v, rho, grid)
+    vk = grid.k_dot(np.asarray(v, dtype=float))
+    boost = 2.0 * vk * psi_hat
+    boost[0] += rho.fourier(grid.k2)
+    boost /= grid.k2 + rho.mass**2 - vk**2
+    return psi_hat, boost
+
+
+def test_tangent_basis_matches_the_two_pass_route_bit_for_bit():
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    heavy = ChargeDensity(amplitude=1.3, sigma=0.9, mass=2.0)
+    for v, rho in (([0.3, -0.2, 0.1], RHO), ([0.0, 0.0, 0.0], RHO),
+                   ([-0.6, 0.0, 0.5], heavy)):
+        tb = tangent_basis(v, rho, GRID)
+        psi_hat, boost = _tangent_fields_two_pass(v, rho, GRID)
+        assert np.array_equal(bits(tb.soliton_hat), bits(psi_hat))
+        assert np.array_equal(bits(tb.boost_hat), bits(boost))
+
+
 def test_tangent_basis_carries_two_spinor_fields_only():
     # the six tangent fields are k_j multiples of soliton_hat and boost_hat,
     # formed on demand; no (6, 4, N, N, N) array is stored
