@@ -6,9 +6,10 @@ The field and the particle exchange momentum through the smeared charge:
     pdot    = Re <psi, grad rho(. - q)>
 One step is Strang splitting: half a kick of the particle with the field
 frozen, an exact free flight of the field with the source integral taken
-by the midpoint rule, half a kick again. The field's flight is split half
-and half, W0(dt/2) [W0(dt/2) psi - i dt rho_hat e^{i k.q} e_0], so both
-halves share one cached multiplier. Everything runs in k-space; the
+by the midpoint rule, half a kick again. The field update is
+W0(dt) psi - i dt W0(dt/2) rho_hat e^{i k.q} e_0: one full flight of the
+field, and a flight of the source that forms only its three nonzero
+components, both from cached multipliers. Everything runs in k-space; the
 moving source never touches the grid as an interpolation, only as the
 phase e^{i k.q} on rho_hat, and since the Gaussian separates, the source
 is three 1-D factors (ChargeDensity.fourier_factors) and the force and
@@ -23,6 +24,7 @@ import numpy as np
 
 from .field_grid import (
     GridSpec,
+    SeparableSource,
     SpinorField,
     dirac_symbol,
     free_propagate,
@@ -82,15 +84,15 @@ def _half_kick(q, p, psi_hat_data, grid, rho, h):
 def _field_step(psi: SpinorField, rho: ChargeDensity, q_mid,
                 dt: float) -> SpinorField:
     """Exact free flight of the Fourier-space field psi plus the Duhamel
-    source term at the midpoint, split half and half:
-        psi <- W0(dt/2) [W0(dt/2) psi - i dt rho_hat e^{i k.q_mid} e_0],
-    which is W0(dt) psi - i dt W0(dt/2) rho(. - q_mid) e_0 regrouped. Both
-    half flights use the one memoized dt/2 multiplier, and the source is
-    added in place into the first flight's fresh array."""
-    half = free_propagate(psi, 0.5 * dt, rho.mass)
+    source term at the midpoint:
+        psi <- W0(dt) psi - i dt W0(dt/2) rho_hat e^{i k.q_mid} e_0.
+    The field makes one full flight at dt. The source, with -i dt folded
+    into its first factor, flies at dt/2 as a SeparableSource, whose three
+    nonzero components are added in place into the field's fresh array."""
     f1, f2, f3 = rho.fourier_factors(psi.grid.k1d, q_mid)
-    half.data[0] -= (1j * dt * f1)[:, None, None] * np.multiply.outer(f2, f3)
-    return free_propagate(half, 0.5 * dt, rho.mass)
+    out = free_propagate(psi, dt, rho.mass)
+    return free_propagate(SeparableSource(psi.grid, (-1j * dt * f1, f2, f3)),
+                          0.5 * dt, rho.mass, add_to=out)
 
 
 def step(Y: PhaseState, dt: float, rho: ChargeDensity) -> PhaseState:

@@ -552,8 +552,8 @@ def write_snapshots(out: Path, traj: Trajectory) -> list[str]:
     for i, snap in enumerate(traj.fields):
         name = f"field_{i:04d}.raw"
         pos = snap.to_position()
-        np.ascontiguousarray(pos.data.transpose(1, 2, 3, 0)).astype(
-            "<c16").tofile(out / name)
+        np.ascontiguousarray(pos.data.transpose(1, 2, 3, 0),
+                             dtype="<c16").tofile(out / name)
         names.append(name)
     return names
 

@@ -200,16 +200,23 @@ def _block_symbol(data: np.ndarray, grid: GridSpec, a_u, a_d,
                   kappa) -> np.ndarray:
     """The 2x2-block kernel behind every Dirac multiplier. On shape-(4,N,N,N)
     Fourier data f = (u, d) it forms
-        (a_u u + kappa (sigma.k) d, a_d d + kappa (sigma.k) u),
+        (a_u u + kappa i(sigma.k) d, a_d d + kappa i(sigma.k) u),
     with sigma.k = [[k3, k1 - i k2], [k1 + i k2, -k3]]; the coefficients are
-    scalars or arrays that broadcast against the k-grid."""
-    k1, k2_, k3 = grid.k_axes
-    k_minus, k_plus = k1 - 1j * k2_, k1 + 1j * k2_
+    scalars or arrays that broadcast against the k-grid. The factor i rides
+    on the k factors; each component is built in place with one N^3 buffer."""
+    k = grid.k1d
+    ik3, ikm, ikp = 1j * k, (1j * k[:, None] + k)[..., None], \
+        (1j * k[:, None] - k)[..., None]
     out = np.empty(data.shape, dtype=complex)
-    out[0] = a_u * data[0] + kappa * (k3 * data[2] + k_minus * data[3])
-    out[1] = a_u * data[1] + kappa * (k_plus * data[2] - k3 * data[3])
-    out[2] = a_d * data[2] + kappa * (k3 * data[0] + k_minus * data[1])
-    out[3] = a_d * data[3] + kappa * (k_plus * data[0] - k3 * data[1])
+    tmp = np.empty(data.shape[1:], dtype=complex)
+    for half, a, own, other in ((0, a_u, data[:2], data[2:]),
+                                (2, a_d, data[2:], data[:2])):
+        for j, (k_a, k_b) in enumerate(((ik3, ikm), (ikp, -ik3))):
+            o = out[half + j]
+            np.multiply(other[0], k_a, out=o)
+            o += np.multiply(other[1], k_b, out=tmp)
+            o *= kappa
+            o += np.multiply(own[j], a, out=tmp)
     return out
 
 
@@ -217,7 +224,7 @@ def dirac_symbol(data: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
     """D(k) f_hat with D(k) = -alpha.k + beta m, on shape-(4,N,N,N) Fourier
     data. In the 2x2-block form f = (u, d) this is
         D(k) f = (m u - (sigma.k) d, -(sigma.k) u - m d)."""
-    return _block_symbol(data, grid, m, -m, -1.0)
+    return _block_symbol(data, grid, m, -m, 1j)
 
 
 def _in_space_of(psi: SpinorField, data: np.ndarray) -> SpinorField:
@@ -232,24 +239,30 @@ def spectral_derivative(psi: SpinorField, axis: int) -> SpinorField:
     return _in_space_of(psi, -1j * hat.grid.k_axes[axis] * hat.data)
 
 
-@lru_cache(maxsize=1)
+@dataclass(frozen=True)
+class SeparableSource:
+    """The Fourier-space field f e_0 with f = f1(k1) f2(k2) f3(k3), held as
+    its 1-D factors (the moving charge of ChargeDensity.fourier_factors)."""
+
+    grid: GridSpec
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=2)
 def _free_multiplier(grid: GridSpec, t: float,
                      m: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(w t) and sin(w t) / w on the k-grid, w = sqrt(|k|^2 + m^2),
-    read-only.
-
-    Memoized on (grid, t, m), one entry: the Strang step's two half
-    flights, and every step of a run, share one pair. A second entry would
-    only hold a one-off time (an outgoing-field estimate) and raise the
-    resident memory by N^3 * 16 bytes.
-    """
+    """a_u = cos(w t) - i m sin(w t) / w and s = sin(w t) / w on the k-grid,
+    w = sqrt(|k|^2 + m^2), read-only. Memoized on (grid, t, m), two
+    entries: the Strang step's full flight dt and source flight dt/2."""
     w = np.sqrt(grid.k2 + m * m)
-    c, s = np.cos(w * t), np.sin(w * t) / w
-    c.flags.writeable = s.flags.writeable = False
-    return c, s
+    s = np.sin(w * t) / w
+    a_u = np.cos(w * t) - 1j * m * s
+    a_u.flags.writeable = s.flags.writeable = False
+    return a_u, s
 
 
-def free_propagate(psi: SpinorField, t: float, m: float) -> SpinorField:
+def free_propagate(psi: SpinorField | SeparableSource, t: float, m: float,
+                   add_to: SpinorField | None = None) -> SpinorField:
     """Exact free Dirac propagator W0(t) as a Fourier multiplier.
 
     The free equation i*psi_t = (-i alpha.grad + beta m) psi becomes, per
@@ -257,15 +270,30 @@ def free_propagate(psi: SpinorField, t: float, m: float) -> SpinorField:
     D(k)^2 = (|k|^2 + m^2) I, so
         exp(-i t D) = cos(w t) I - i sin(w t) D / w,   w = sqrt(|k|^2+m^2),
     applied in one pass of the block kernel as a_u = c - i m s,
-    a_d = c + i m s, kappa = i s with c = cos(w t), s = sin(w t) / w.
+    a_d = conj(a_u), kappa = s with c = cos(w t), s = sin(w t) / w.
     Unitary per mode, hence exactly charge conserving.
+
+    A SeparableSource f e_0 flies as f (a_u, 0, i s k_3, i s k_+): its three
+    components are formed from the 1-D factors and added in place into
+    add_to, a Fourier field on its grid that the caller owns.
     """
-    hat = psi.to_fourier()
-    c, s = _free_multiplier(hat.grid, float(t), float(m))
-    i_s = 1j * s
-    i_ms = m * i_s
-    return _in_space_of(psi, _block_symbol(hat.data, hat.grid, c - i_ms,
-                                           c + i_ms, i_s))
+    a_u, s = _free_multiplier(psi.grid, float(t), float(m))
+    if not isinstance(psi, SeparableSource):
+        if add_to is not None:
+            raise ValueError("add_to takes the flight of a SeparableSource")
+        hat = psi.to_fourier()
+        return _in_space_of(psi, _block_symbol(hat.data, hat.grid, a_u,
+                                               a_u.conj(), s))
+    if add_to is None or add_to.space != FOURIER or add_to.grid != psi.grid:
+        raise ValueError("a source flies into a Fourier field on its grid")
+    k, (f1, f2, f3) = psi.grid.k1d, psi.factors
+    f12, tmp = np.multiply.outer(f1, f2), np.empty(a_u.shape, dtype=complex)
+    for c, coef, k12, k3 in ((0, a_u, 1.0, 1.0), (2, s, 1.0, 1j * k),
+                             (3, s, 1j * k[:, None] - k, 1.0)):
+        np.multiply(coef, (k12 * f12)[..., None], out=tmp)
+        tmp *= k3 * f3
+        add_to.data[c] += tmp
+    return add_to
 
 
 def moving_frame_propagate(psi: SpinorField, t: float, v,

@@ -593,10 +593,12 @@ def phi_lambda(Psi0: SpinorField, lam, v, rho: ChargeDensity) -> np.ndarray:
 
     as a complex 3-vector of k-grid sums (the rho_2 term vanishes for the
     single-component charge)."""
-    v = np.asarray(v, dtype=float)
-    grid = Psi0.grid
-    x1, x2 = _real_pair_hat(Psi0)
-    t1 = -_green_first_row(grid, v, rho, complex(lam), x1, x2)
+    return _phi_lambda(Psi0.grid, *_real_pair_hat(Psi0), lam, v, rho)
+
+
+def _phi_lambda(grid, x1, x2, lam, v, rho):
+    t1 = -_green_first_row(grid, np.asarray(v, dtype=float), rho,
+                           complex(lam), x1, x2)
     return 1j * grid.k_moments(t1 * rho.fourier(grid.k2))
 
 
@@ -606,9 +608,11 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
         Phi'(0)_j = -< [Psi0_1 + 2 i v.k (G0^11 Psi0_1 + G0^12 Psi0_2)]
                        / (|k|^2 + m^2 - (v.k)^2), i k_j rho_1 >.
     """
+    return _phi_prime_zero(Psi0.grid, *_real_pair_hat(Psi0), v, rho)
+
+
+def _phi_prime_zero(grid, x1, x2, v, rho):
     v = np.asarray(v, dtype=float)
-    grid = Psi0.grid
-    x1, x2 = _real_pair_hat(Psi0)
     m = rho.mass
     vk = grid.k_dot(v)
     u1 = (x1[0] + 2j * vk * _green_first_row(grid, v, rho, complex(0.0), x1,
@@ -662,7 +666,8 @@ def orthogonality_check(Z0: PhaseState, v, rho: ChargeDensity,
         tb = tangent_basis(v, rho, Z0.grid)
     Zk = Z0.to_fourier()
     rows = _omega_rows(tb, Zk.psi.data, Zk.q, Zk.p)
-    phi0 = phi_lambda(Z0.psi, 0.0, v, rho)
-    phi1 = phi_prime_zero(Z0.psi, v, rho)
+    x1, x2 = _real_pair_hat(Z0.psi)
+    phi0 = _phi_lambda(Z0.grid, x1, x2, 0.0, v, rho)
+    phi1 = _phi_prime_zero(Z0.grid, x1, x2, v, rho)
     return OrthogonalityCheck(phi0 + Zk.p, phi1 + momentum_jacobian(v) @ Zk.q,
                               -rows[:3], rows[3:])

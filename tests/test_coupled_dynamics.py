@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_soliton import coupled_dynamics
+from dirac_soliton import coupled_dynamics, field_grid
 from dirac_soliton.coupled_dynamics import (
     IntegratorError,
     ScatteringData,
@@ -19,6 +19,7 @@ from dirac_soliton.coupled_dynamics import (
 from dirac_soliton.field_grid import (
     FOURIER,
     GridSpec,
+    SeparableSource,
     SpinorField,
     free_propagate,
     gaussian_packet,
@@ -300,6 +301,15 @@ def _field_step_oracle(psi, rho, q_mid, dt):
     return free_propagate(psi, dt, rho.mass) - (1j * dt) * kicked
 
 
+def _half_and_half_oracle(psi, rho, q_mid, dt):
+    """W0(dt/2) [W0(dt/2) psi - i dt rho(. - q_mid) e_0]: the same step
+    as two full 4-component flights of half the length."""
+    half = free_propagate(psi, 0.5 * dt, rho.mass).data.copy()
+    half[0] -= 1j * dt * _source_oracle(psi.grid, rho, q_mid)
+    return free_propagate(SpinorField(psi.grid, half, FOURIER), 0.5 * dt,
+                          rho.mass)
+
+
 @st.composite
 def _source_cases(draw):
     """A grid (N = 8 or 16), a charge, a particle position anywhere in the
@@ -345,6 +355,49 @@ def test_field_step_matches_the_full_step_duhamel_form(case, dt):
     got = _field_step(psi, rho, q, dt)
     assert got.space == FOURIER
     assert np.linalg.norm(got.data - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(case=_source_cases(), dt=st.floats(1e-3, 0.5))
+def test_field_step_matches_the_half_and_half_form(case, dt):
+    grid, rho, q, data = case
+    psi = SpinorField(grid, data, FOURIER)
+    want = _half_and_half_oracle(psi, rho, q, dt).data
+    got = _field_step(psi, rho, q, dt)
+    assert np.linalg.norm(got.data - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_one_step_makes_one_full_flight(monkeypatch):
+    # the field flies once through the 4-component block kernel; the
+    # source's flight forms its three components without it
+    real, shapes = field_grid._block_symbol, []
+
+    def counting(data, *args):
+        shapes.append(data.shape)
+        return real(data, *args)
+
+    monkeypatch.setattr(field_grid, "_block_symbol", counting)
+    Y = _perturbed_soliton()
+    step(Y, 0.02, RHO)
+    assert shapes == [(4, GRID.N, GRID.N, GRID.N)]
+
+
+def test_source_flight_adds_into_a_fourier_field_on_its_grid():
+    src = SeparableSource(GRID, RHO.fourier_factors(GRID.k1d, np.zeros(3)))
+    alone = free_propagate(src, 0.3, RHO.mass,
+                           add_to=zero_state(GRID, FOURIER).psi)
+    assert np.array_equal(alone.data[1], np.zeros_like(alone.data[1]))
+    base = _perturbed_soliton().psi
+    added = free_propagate(src, 0.3, RHO.mass,
+                           add_to=SpinorField(GRID, base.data.copy(), FOURIER))
+    assert np.linalg.norm(added.data - base.data - alone.data) \
+        <= 1e-15 * np.linalg.norm(added.data)
+    other_grid = zero_state(GridSpec(20.0, 16)).psi
+    for wrong in (None, base.to_position(), other_grid):
+        with pytest.raises(ValueError):
+            free_propagate(src, 0.3, RHO.mass, add_to=wrong)
+    with pytest.raises(ValueError):
+        free_propagate(base, 0.3, RHO.mass, add_to=base)
 
 
 def test_simulate_warm_starts_each_projection_advanced_by_v_dt(monkeypatch):
