@@ -145,37 +145,30 @@ def _require(condition: bool, message: str, check: bool) -> None:
 def _cmd_simulate(args, sections) -> int:
     import numpy as np
 
-    from .coupled_dynamics import hamiltonian
-    from .experiments import (initial_state, simulation_config,
-                              write_trajectory_outputs)
-    from .coupled_dynamics import simulate
+    from .coupled_dynamics import hamiltonian, simulate
+    from .experiments import (_prepare_out_dir, _write_json, initial_state,
+                              simulation_config, write_trajectory_outputs)
 
     cfg = _run_config("simulate", args, sections)
     Y0, sigma0 = initial_state(cfg)
     h0 = hamiltonian(Y0, cfg.rho)
     traj = simulate(Y0, cfg.rho, simulation_config(cfg, sigma_guess=sigma0))
     h1 = hamiltonian(traj.final_state, cfg.rho)
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_outputs(out, cfg, traj)
-        report = {
-            "final_q": list(map(float, traj.final_state.q)),
-            "final_p": list(map(float, traj.final_state.p)),
-            "hamiltonian_initial": h0,
-            "hamiltonian_final": h1,
-            "hamiltonian_drift": abs(h1 - h0) / abs(h0),
-            "tracking_failed_at": traj.tracking_failed_at,
-        }
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _emit({
+    final = {
         "final_q": list(map(float, traj.final_state.q)),
         "final_p": list(map(float, traj.final_state.p)),
         "hamiltonian_drift": abs(h1 - h0) / abs(h0),
+        "tracking_failed_at": traj.tracking_failed_at,
+    }
+    if cfg.out_dir is not None:
+        out = _prepare_out_dir(cfg)
+        write_trajectory_outputs(out, cfg, traj)
+        _write_json(out / "report.json", {**final, "hamiltonian_initial": h0,
+                                          "hamiltonian_final": h1})
+    _emit({
+        **final,
         "samples": int(traj.sample_times.size),
         "snapshots": len(traj.fields),
-        "tracking_failed_at": traj.tracking_failed_at,
         "max_z_norm": (float(np.max(traj.z_norms))
                        if traj.z_norms.size else None),
     })
@@ -235,7 +228,7 @@ def _cmd_project(args, sections) -> int:
 def _cmd_spectral(args, sections) -> int:
     import numpy as np
 
-    from .experiments import ConfigError, _write_series_csv
+    from .experiments import ConfigError, _write_json, _write_series_csv
     from .linearized_spectral import f_jj_checks, spectral_matrices
 
     cfg = _run_config("spectral", args, sections)
@@ -297,8 +290,7 @@ def _cmd_spectral(args, sections) -> int:
                   "det_fact_im", "det_rel_gap", "block_diag_residual",
                   "block_coupling_residual")
         _write_series_csv(out / "spectral.csv", header, np.array(rows))
-        (out / "spectral.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "spectral.json", summary)
     _emit(summary)
     _require(summary["max_det_relative_gap"] <= 1e-10,
              "determinant factorization gap exceeds 1e-10", args.check)

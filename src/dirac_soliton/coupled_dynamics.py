@@ -175,7 +175,6 @@ class Trajectory:
     q: np.ndarray
     p: np.ndarray
     final_state: PhaseState
-    nu: float = 3.0
     sample_times: np.ndarray = _field(default_factory=lambda: np.empty(0))
     sigma_b: np.ndarray = _field(default_factory=lambda: np.empty((0, 3)))
     sigma_v: np.ndarray = _field(default_factory=lambda: np.empty((0, 3)))
@@ -229,6 +228,8 @@ class SimulationConfig:
                              f"multiple of dt = {self.dt}")
         if self.sample_every < self.dt:
             raise ValueError("sample_every must be at least dt")
+        if self.field_stride < 0:
+            raise ValueError("field_stride must be >= 0")
 
 
 def _transversal_norm(Z: PhaseState, nu: float) -> float:
@@ -299,7 +300,7 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
             sample(i, t, Y)
 
     return Trajectory(
-        times=times, q=qs, p=ps, final_state=Y, nu=config.nu,
+        times=times, q=qs, p=ps, final_state=Y,
         sample_times=np.asarray(sample_times),
         sigma_b=np.asarray(sig_b).reshape(-1, 3),
         sigma_v=np.asarray(sig_v).reshape(-1, 3),
@@ -313,17 +314,20 @@ class ScatteringData:
     v_plus: np.ndarray
     a_plus: np.ndarray
     qdot_exponent: float | None
-    z_exponent: float | None
     qdot_residual: float
 
 
-def _loglog_slope(t, y, max_points: int = 64):
+V_TAIL_FRACTION = 0.2      # v_plus averages this last fraction of the run
+FIT_UPPER_FRACTION = 0.05  # the qdot fit window ends by this fraction of T
+
+
+def _loglog_slope(t, y):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t.size > max_points:
-        # resample to a geometric time grid so every decade carries the
-        # same weight in the fit
-        targets = np.geomspace(t[0], t[-1], max_points)
+    if t.size > 64:
+        # resample to 64 points of a geometric time grid so every decade
+        # carries the same weight in the fit
+        targets = np.geomspace(t[0], t[-1], 64)
         idx = np.unique(np.searchsorted(t, targets).clip(0, t.size - 1))
         t, y = t[idx], y[idx]
     A = np.vstack([np.log(t), np.ones_like(t)]).T
@@ -331,24 +335,23 @@ def _loglog_slope(t, y, max_points: int = 64):
     return float(sol[0])
 
 
-def extract_scattering_data(traj: Trajectory, t_min: float = 5.0,
-                            v_tail_fraction: float = 0.2,
-                            fit_upper_fraction: float = 0.05) -> ScatteringData:
-    """Asymptotic velocity, intercept, and the decay-exponent fits.
+def extract_scattering_data(traj: Trajectory,
+                            t_min: float = 5.0) -> ScatteringData:
+    """Asymptotic velocity, intercept, and the qdot decay exponent.
 
-    v_plus averages qdot over the last v_tail_fraction of the run (where
+    v_plus averages qdot over the last V_TAIL_FRACTION of the run (where
     the O(t^{-2}) correction is below the sampling noise); the exponent of
-    |qdot - v_plus| is fitted on the early window [t_min,
-    fit_upper_fraction * T] where the signal still dominates the error of
+    |qdot - v_plus| is fitted on the early window [t_min, max(2 t_min,
+    FIT_UPPER_FRACTION * T)] where the signal still dominates the error of
     the v_plus estimate, dropping samples within 10x of the leftover at
-    the final time.
+    the final time (None with fewer than 8 samples left).
     """
     T = float(traj.times[-1])
     if T <= t_min:
         raise ValueError("insufficient tail samples: run ends before t_min")
     vel = traj.velocities()
 
-    tail = traj.times >= (1.0 - v_tail_fraction) * T
+    tail = traj.times >= (1.0 - V_TAIL_FRACTION) * T
     if np.count_nonzero(tail) < 2:
         raise ValueError("insufficient tail samples for v_plus")
     v_plus = vel[tail].mean(axis=0)
@@ -363,18 +366,11 @@ def extract_scattering_data(traj: Trajectory, t_min: float = 5.0,
 
     r = np.linalg.norm(vel - v_plus, axis=1)
     qdot_residual = float(np.sqrt(np.mean(r[tail] ** 2)))
-    upper = max(2.0 * t_min, fit_upper_fraction * T)
+    upper = max(2.0 * t_min, FIT_UPPER_FRACTION * T)
     window = post & (traj.times <= upper) & (r > 10.0 * r[-1]) & (r > 0)
     qdot_exponent = (_loglog_slope(traj.times[window], r[window])
                      if np.count_nonzero(window) >= 8 else None)
 
-    z_exponent = None
-    if traj.sample_times.size:
-        zmask = (traj.sample_times >= t_min) & (traj.z_norms > 0)
-        if np.count_nonzero(zmask) >= 4:
-            z_exponent = _loglog_slope(traj.sample_times[zmask],
-                                       traj.z_norms[zmask])
-
     return ScatteringData(v_plus=v_plus, a_plus=a_plus,
-                          qdot_exponent=qdot_exponent, z_exponent=z_exponent,
+                          qdot_exponent=qdot_exponent,
                           qdot_residual=qdot_residual)

@@ -35,7 +35,6 @@ from .coupled_dynamics import (
 )
 from .coupled_dynamics import simulate as _simulate
 from .field_grid import (
-    FOURIER,
     GridSpec,
     SpinorField,
     free_propagate,

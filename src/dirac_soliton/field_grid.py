@@ -16,10 +16,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spinor_algebra import DiracMatrices, build_dirac_matrices
-
-_DIRAC = build_dirac_matrices()
-
 POSITION = "position"
 FOURIER = "fourier"
 
@@ -182,18 +178,6 @@ def k_second_moments(w: np.ndarray, grid: GridSpec) -> np.ndarray:
 def zero_field(grid: GridSpec, space: str = POSITION) -> SpinorField:
     return SpinorField(grid, np.zeros((4, grid.N, grid.N, grid.N),
                                       dtype=complex), space)
-
-
-def apply_alpha_dot_k(data: np.ndarray, grid: GridSpec,
-                      d: DiracMatrices = _DIRAC) -> np.ndarray:
-    """(alpha . k) f_hat, on shape-(4,N,N,N) Fourier data, by dense 4x4
-    products. Kept as the test oracle for the block formulas; production
-    code applies the Dirac symbol through dirac_symbol()."""
-    k1, k2_, k3 = grid.k_axes
-    out = np.tensordot(d.alpha1, data, axes=(1, 0)) * k1
-    out += np.tensordot(d.alpha2, data, axes=(1, 0)) * k2_
-    out += np.tensordot(d.alpha3, data, axes=(1, 0)) * k3
-    return out
 
 
 def _block_symbol(data: np.ndarray, grid: GridSpec, a_u, a_d,

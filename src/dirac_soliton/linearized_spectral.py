@@ -23,10 +23,10 @@ reduction to the exponential integral E1, and the 6x6 pencil
 
     M(lambda) = [[lambda E, -B_v], [L - H(lambda), lambda E]],
 
-with the factorized determinant on the imaginary axis and the explicit
-scaled inverse blocks. All matrix formulas assume the aligned frame
-v = |v| e_1; use velocity_frame() to rotate a general velocity and
-conjugate results back with R^T M R.
+formed on the imaginary axis as M(i omega + 0), with its factorized
+determinant and the explicit scaled inverse blocks. All matrix formulas
+assume the aligned frame v = |v| e_1; use velocity_frame() to rotate a
+general velocity and conjugate results back with R^T M R.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ from scipy.special import exp1, expi
 from .field_grid import (FOURIER, GridSpec, SpinorField, dirac_symbol,
                          k_second_moments)
 from .phase_space import PhaseState
-from .quadrature import QuadResult, gauss_panels_1d, tensor_trapezoid_3d
+from .quadrature import QuadResult, gauss_panels_1d, k_outer_trapezoid_3d
 from .soliton_manifold import (
     momentum_jacobian,
     soliton_field_hat,
     tangent_basis,
 )
 from .spinor_algebra import ChargeDensity
-from .symplectic_geometry import K_QUAD_NODES, _omega_rows, matrix_K
+from .symplectic_geometry import (H_QUAD_ORDER, H_QUAD_PANELS,
+                                  K_QUAD_KMAX_SIGMAS, K_QUAD_NODES,
+                                  _omega_rows, matrix_K)
 
 # Below this |omega| the pencil is inverted through the factorized block
 # formulas instead of np.linalg.inv (the direct inverse loses all digits
@@ -122,8 +124,6 @@ class LinearizedOperator:
     point.
     """
 
-    v: np.ndarray
-    w: np.ndarray
     rho: ChargeDensity
     grid: GridSpec
     rho_hat: np.ndarray          # (N, N, N) real
@@ -144,7 +144,7 @@ def linearized_operator(v, w, rho: ChargeDensity,
     wk = grid.k_dot(w)
     psi0 = soliton_field_hat(v, rho, grid)[0]
     coupling = k_second_moments(psi0.real * rho_hat, grid)
-    return LinearizedOperator(v, w, rho, grid, rho_hat, wk, coupling,
+    return LinearizedOperator(rho, grid, rho_hat, wk, coupling,
                               boost_matrix(v))
 
 
@@ -203,8 +203,7 @@ def cut_endpoints(omega: float, v, rho: ChargeDensity):
     return (g2 * (s * omega - root), g2 * (s * omega + root))
 
 
-def _h_frame(lam: complex, speed: float, rho: ChargeDensity,
-             order: int = 40, panels: int = 8) -> QuadResult:
+def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
     """H(lambda) in the aligned frame by the E_1 reduction.
 
     Writing B(k) = C e^{-sigma^2 |k|^2} and c(k_1) = k_1^2 + m^2
@@ -249,7 +248,7 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity,
                          0.5 * np.pi * C * gauss * i1])
 
     gamma2 = 1.0 / (1.0 - speed * speed)
-    kmax = 8.0 / rho.sigma + abs(gamma2 * speed * b)
+    kmax = K_QUAD_KMAX_SIGMAS / rho.sigma + abs(gamma2 * speed * b)
     breaks = [gamma2 * speed * b]
     if ends is not None and abs(lam.real) <= 0.05:
         # At and near the cut the integrand has log spikes (of width
@@ -262,37 +261,28 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity,
             breaks += [kc - off for off in
                        (1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
     res = gauss_panels_1d(integrand, -kmax, kmax, breakpoints=breaks,
-                          order=order, panels_per_interval=panels)
+                          order=H_QUAD_ORDER,
+                          panels_per_interval=H_QUAD_PANELS)
     h11, h22 = res.value
     return QuadResult(np.diag([h11, h22, h22]), lambda: res.error)
 
 
-def matrix_L(v, rho: ChargeDensity, n: int = K_QUAD_NODES,
-             kmax: float | None = None) -> QuadResult:
+def matrix_L(v, rho: ChargeDensity) -> QuadResult:
     """L_il = integral k_i k_l B(k) / (|k|^2 + m^2 - (|v| k_1)^2) dk by the
     pinned 3D tensor trapezoid (diagonal and positive definite)."""
     s = _frame_speed(v)
     m = rho.mass
-    if kmax is None:
-        kmax = 8.0 / rho.sigma
 
-    def integrand(k1, k2, k3):
+    def core(k1, k2, k3):
         k2tot = k1**2 + k2**2 + k3**2
         B = rho.mass * rho.fourier(k2tot) ** 2
-        core = B / (k2tot + m * m - (s * k1) ** 2)
-        ks = (k1, k2, k3)
-        out = np.empty((3, 3) + np.broadcast_shapes(k1.shape, k2.shape,
-                                                    k3.shape))
-        for i in range(3):
-            for j in range(3):
-                out[i, j] = ks[i] * ks[j] * core
-        return out
+        return B / (k2tot + m * m - (s * k1) ** 2)
 
-    return tensor_trapezoid_3d(integrand, kmax, n)
+    return k_outer_trapezoid_3d(core, K_QUAD_KMAX_SIGMAS / rho.sigma,
+                                K_QUAD_NODES)
 
 
-def matrix_H(lam, v, rho: ChargeDensity, order: int = 40,
-             panels: int = 8) -> QuadResult:
+def matrix_H(lam, v, rho: ChargeDensity) -> QuadResult:
     """H(lambda) for Re lambda > 0, or on the axis strictly between the
     branch points (|Im lambda| < mu). Exactly on the cut the boundary
     value needs a side prescription; use matrix_H_on_axis for that."""
@@ -303,11 +293,10 @@ def matrix_H(lam, v, rho: ChargeDensity, order: int = 40,
     if lam.real == 0.0 and cut_endpoints(lam.imag, s, rho) is not None:
         raise ValueError("lambda lies on the spectral cut; use "
                          "matrix_H_on_axis for the limit from Re > 0")
-    return _h_frame(lam, s, rho, order=order, panels=panels)
+    return _h_frame(lam, s, rho)
 
 
-def matrix_H_on_axis(omega: float, v, rho: ChargeDensity, order: int = 40,
-                     panels: int = 8) -> QuadResult:
+def matrix_H_on_axis(omega: float, v, rho: ChargeDensity) -> QuadResult:
     """The boundary value H(i omega + 0).
 
     Below the branch points the axis point is regular and is evaluated
@@ -315,8 +304,7 @@ def matrix_H_on_axis(omega: float, v, rho: ChargeDensity, order: int = 40,
     exact boundary value of the integrand (see _h_frame). The error
     estimate is the panel-doubling gap, computed when .error is read.
     """
-    return _h_frame(1j * float(omega), _frame_speed(v), rho, order=order,
-                    panels=panels)
+    return _h_frame(1j * float(omega), _frame_speed(v), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +343,10 @@ class MInverseBlocks:
 
 @dataclass(frozen=True)
 class SpectralMatrixSet:
-    """All 3x3/6x6 matrix objects of the reduced theory at one velocity,
-    computed in the aligned frame v = |v| e_1.
+    """The reduced theory at one velocity on the imaginary axis, in the
+    aligned frame v = |v| e_1: from L and diag K it forms, per omega,
+    F(omega) = -L + H(i omega + 0), the pencil M(i omega + 0), its
+    determinant and its scaled inverse blocks. Off the axis use matrix_H.
 
     rotation maps lab coordinates to the frame; a frame matrix M_f
     corresponds to rotation.T @ M_f @ rotation in lab coordinates.
@@ -366,10 +356,7 @@ class SpectralMatrixSet:
     speed: float
     rotation: np.ndarray
     L: np.ndarray            # (3, 3) real, = H(0) by the same engine
-    L_error: float
     k_diag: np.ndarray       # (3,) diagonal of K, the omega -> 0 limit of f
-    order: int = 40
-    panels: int = 8
 
     @property
     def gamma(self) -> float:
@@ -390,14 +377,6 @@ class SpectralMatrixSet:
         g = self.gamma
         return np.array([g**3, g, g])
 
-    def H(self, lam) -> np.ndarray:
-        return matrix_H(lam, self.speed, self.rho, order=self.order,
-                        panels=self.panels).value
-
-    def H_on_axis(self, omega: float) -> np.ndarray:
-        return matrix_H_on_axis(omega, self.speed, self.rho,
-                                order=self.order, panels=self.panels).value
-
     @cached_property
     def _F_memo(self) -> list:
         return []
@@ -415,8 +394,8 @@ class SpectralMatrixSet:
         key = float(omega)
         memo = self._F_memo
         if not memo or memo[0] != key:
-            value = np.diag(self.H_on_axis(key)) - np.diag(self.L).astype(
-                complex)
+            H = matrix_H_on_axis(key, self.speed, self.rho).value
+            value = np.diag(H) - np.diag(self.L).astype(complex)
             value.flags.writeable = False
             memo[:] = [key, value]
         return memo[1]
@@ -427,17 +406,8 @@ class SpectralMatrixSet:
             return self.k_diag.astype(complex)
         return self.F(omega) / omega**2
 
-    def M(self, lam) -> np.ndarray:
-        """The pencil [[lambda E, -B_v], [L - H(lambda), lambda E]]."""
-        lam = complex(lam)
-        out = np.zeros((6, 6), dtype=complex)
-        out[:3, :3] = lam * np.eye(3)
-        out[3:, 3:] = lam * np.eye(3)
-        out[:3, 3:] = -self.Bv
-        out[3:, :3] = self.L - self.H(lam)
-        return out
-
     def M_on_axis(self, omega: float) -> np.ndarray:
+        """The pencil [[i omega E, -B_v], [-F(omega), i omega E]]."""
         out = np.zeros((6, 6), dtype=complex)
         out[:3, :3] = 1j * omega * np.eye(3)
         out[3:, 3:] = 1j * omega * np.eye(3)
@@ -468,16 +438,15 @@ class SpectralMatrixSet:
                               omega * inv[3:, 3:], False)
 
 
-def spectral_matrices(v, rho: ChargeDensity, order: int = 40,
-                      panels: int = 8,
-                      k_nodes: int = K_QUAD_NODES) -> SpectralMatrixSet:
+def spectral_matrices(v, rho: ChargeDensity) -> SpectralMatrixSet:
     """Build the SpectralMatrixSet for a general velocity, rotating it to
-    the aligned frame internally."""
+    the aligned frame internally. L = H(0) comes from the same E_1
+    reduction as H on the axis, K from the pinned trapezoid of matrix_K."""
     speed, rotation = velocity_frame(v)
-    L = _h_frame(complex(0.0), speed, rho, order=order, panels=panels)
-    K = matrix_K(np.array([speed, 0.0, 0.0]), rho, n=k_nodes)
-    return SpectralMatrixSet(rho, speed, rotation, L.value.real, L.error,
-                             np.diag(K.value).copy(), order, panels)
+    L = _h_frame(complex(0.0), speed, rho)
+    K = matrix_K(np.array([speed, 0.0, 0.0]), rho)
+    return SpectralMatrixSet(rho, speed, rotation, L.value.real,
+                             np.diag(K.value).copy())
 
 
 @dataclass(frozen=True)
@@ -495,9 +464,10 @@ class FCurvatureChecks:
                             / np.abs(self.curvature_closed)))
 
 
-def f_jj_checks(mats: SpectralMatrixSet, h: float = 0.04) -> FCurvatureChecks:
-    """F(0), F'(0) and F''(0) by central differences (Richardson over h and
-    h/2), with the closed-form curvature 2 K_jj for comparison."""
+def f_jj_checks(mats: SpectralMatrixSet) -> FCurvatureChecks:
+    """F(0), F'(0) and F''(0) by central differences (Richardson over
+    h = 0.04 and h/2), with the closed-form curvature 2 K_jj for comparison."""
+    h = 0.04
     F0 = mats.F(0.0)
     Fp, Fm = mats.F(h), mats.F(-h)
     Fp2, Fm2 = mats.F(h / 2), mats.F(-h / 2)
@@ -509,12 +479,11 @@ def f_jj_checks(mats: SpectralMatrixSet, h: float = 0.04) -> FCurvatureChecks:
                             2.0 * mats.k_diag)
 
 
-def invertibility_scan(mats: SpectralMatrixSet, omega_max: float = 3.0,
-                       n: int = 241, exclude: float = 0.05):
-    """min |det M(i omega + 0)| over [-omega_max, omega_max] outside the
-    root at 0; returns (omegas, dets, minimum)."""
-    omegas = np.linspace(-omega_max, omega_max, n)
-    omegas = omegas[np.abs(omegas) >= exclude]
+def invertibility_scan(mats: SpectralMatrixSet):
+    """min |det M(i omega + 0)| on 241 points of [-3, 3], outside the root
+    at 0 (|omega| < 0.05); returns (omegas, dets, minimum)."""
+    omegas = np.linspace(-3.0, 3.0, 241)
+    omegas = omegas[np.abs(omegas) >= 0.05]
     dets = np.array([mats.det_M_factorized(w) for w in omegas])
     return omegas, dets, float(np.min(np.abs(dets)))
 
@@ -565,12 +534,13 @@ def g_lambda(y, lam, v, m: float = 1.0) -> complex:
 # ---------------------------------------------------------------------------
 
 def _real_pair_hat(psi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
-    """Transforms of the real pair (Re psi, Im psi), each conj-symmetric."""
-    pos = psi.to_position()
-    g = psi.grid
-    x1 = SpinorField(g, pos.data.real.astype(complex), "position")
-    x2 = SpinorField(g, pos.data.imag.astype(complex), "position")
-    return x1.to_fourier().data, x2.to_fourier().data
+    """Transforms of the real pair (Re psi, Im psi), each conj-symmetric,
+    taken in k-space: with R psi_hat(k) = conj psi_hat(-k) they are
+    (psi_hat + R psi_hat) / 2 and (psi_hat - R psi_hat) / (2i). In FFT
+    order -k sits at index -j mod N: flip each axis, then roll by one."""
+    hat = psi.to_fourier().data
+    r = np.roll(np.flip(hat, (1, 2, 3)), 1, (1, 2, 3)).conj()
+    return 0.5 * (hat + r), -0.5j * (hat - r)
 
 
 def _green_first_row(grid: GridSpec, v: np.ndarray, rho: ChargeDensity,
@@ -592,13 +562,11 @@ def phi_lambda(Psi0: SpinorField, lam, v, rho: ChargeDensity) -> np.ndarray:
         Psi~_1 = -G^11 Psi0_1 - G^12 Psi0_2,
 
     as a complex 3-vector of k-grid sums (the rho_2 term vanishes for the
-    single-component charge)."""
-    return _phi_lambda(Psi0.grid, *_real_pair_hat(Psi0), lam, v, rho)
-
-
-def _phi_lambda(grid, x1, x2, lam, v, rho):
+    single-component charge). The real pair Psi0_1, Psi0_2 is split in
+    k-space, so a Fourier-space Psi0 costs no FFT."""
+    grid = Psi0.grid
     t1 = -_green_first_row(grid, np.asarray(v, dtype=float), rho,
-                           complex(lam), x1, x2)
+                           complex(lam), *_real_pair_hat(Psi0))
     return 1j * grid.k_moments(t1 * rho.fourier(grid.k2))
 
 
@@ -608,10 +576,8 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
         Phi'(0)_j = -< [Psi0_1 + 2 i v.k (G0^11 Psi0_1 + G0^12 Psi0_2)]
                        / (|k|^2 + m^2 - (v.k)^2), i k_j rho_1 >.
     """
-    return _phi_prime_zero(Psi0.grid, *_real_pair_hat(Psi0), v, rho)
-
-
-def _phi_prime_zero(grid, x1, x2, v, rho):
+    grid = Psi0.grid
+    x1, x2 = _real_pair_hat(Psi0)
     v = np.asarray(v, dtype=float)
     m = rho.mass
     vk = grid.k_dot(v)
@@ -666,8 +632,7 @@ def orthogonality_check(Z0: PhaseState, v, rho: ChargeDensity,
         tb = tangent_basis(v, rho, Z0.grid)
     Zk = Z0.to_fourier()
     rows = _omega_rows(tb, Zk.psi.data, Zk.q, Zk.p)
-    x1, x2 = _real_pair_hat(Z0.psi)
-    phi0 = _phi_lambda(Z0.grid, x1, x2, 0.0, v, rho)
-    phi1 = _phi_prime_zero(Z0.grid, x1, x2, v, rho)
+    phi0 = phi_lambda(Zk.psi, 0.0, v, rho)
+    phi1 = phi_prime_zero(Zk.psi, v, rho)
     return OrthogonalityCheck(phi0 + Zk.p, phi1 + momentum_jacobian(v) @ Zk.q,
                               -rows[:3], rows[3:])

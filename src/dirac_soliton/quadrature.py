@@ -85,6 +85,21 @@ def tensor_trapezoid_3d(f, kmax: float, n: int = 96) -> QuadResult:
     return QuadResult(fine, err)
 
 
+def k_outer_trapezoid_3d(core, kmax: float, n: int) -> QuadResult:
+    """The 3x3 integral of k_i k_j core(k1, k2, k3) over [-kmax, kmax]^3
+    by tensor_trapezoid_3d. The integrand fills one preallocated
+    (3, 3, n+1, n+1, n+1) array, entry by entry, as (k_i k_j) core."""
+
+    def integrand(*ks):
+        c = core(*ks)
+        out = np.empty((3, 3) + c.shape)
+        for i, j in np.ndindex(3, 3):
+            out[i, j] = ks[i] * ks[j] * c
+        return out
+
+    return tensor_trapezoid_3d(integrand, kmax, n)
+
+
 def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
                     panels_per_interval: int = 8) -> QuadResult:
     """Integrate f on [a, b] by composite Gauss-Legendre panels, splitting
@@ -136,21 +151,3 @@ def _clustered_edges(lo: float, hi: float, n: int) -> np.ndarray:
     left = lo + 0.5 * (hi - lo) * t
     right = hi - 0.5 * (hi - lo) * t[::-1]
     return np.concatenate([left, right[1:]])
-
-
-def monte_carlo_gaussian_3d(rest, sigma: float, n_samples: int,
-                            seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo oracle for integrals of the form
-        integral e^{-sigma^2 |k|^2} * rest(k1, k2, k3) dk
-    by importance sampling with the Gaussian as the density.
-
-    Returns (estimate, standard_error), each with rest's output shape.
-    """
-    rng = np.random.default_rng(seed)
-    s = 1.0 / (np.sqrt(2.0) * sigma)
-    k = rng.normal(scale=s, size=(3, n_samples))
-    norm = (np.pi / sigma**2) ** 1.5  # integral of the Gaussian weight
-    vals = norm * rest(k[0], k[1], k[2])
-    est = np.mean(vals, axis=-1)
-    stderr = np.std(vals, axis=-1, ddof=1) / np.sqrt(n_samples)
-    return est, stderr

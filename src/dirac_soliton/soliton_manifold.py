@@ -21,7 +21,7 @@ import numpy as np
 
 from .field_grid import FOURIER, GridSpec, SpinorField, dirac_symbol
 from .phase_space import PhaseState
-from .spinor_algebra import ChargeDensity, build_dirac_matrices
+from .spinor_algebra import ChargeDensity
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,6 @@ def momentum_jacobian(v) -> np.ndarray:
     return g * np.eye(3) + g**3 * np.outer(v, v)
 
 
-def _rho_spinor_hat(grid: GridSpec, rho: ChargeDensity) -> np.ndarray:
-    """rho_hat as a (4,N,N,N) spinor array on the k-grid (component 1 only)."""
-    out = np.zeros((4, grid.N, grid.N, grid.N), dtype=complex)
-    out[0] = rho.fourier(grid.k2)
-    return out
-
-
 def soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
     """psi_v_hat on the k-grid, shape (4, N, N, N). Since rho_hat e_0 has
     one component, ((v.k) - D(k)) rho_hat e_0 is written out:
@@ -98,13 +91,6 @@ def _soliton_parts(v, rho: ChargeDensity, grid: GridSpec):
     out[2] = k3 * r
     out[3] = (k1 + 1j * k2_) * r
     return out, rho_hat, vk, den
-
-
-def soliton_field(v, rho: ChargeDensity, grid: GridSpec,
-                  space: str = FOURIER) -> SpinorField:
-    """The soliton psi_v as a SpinorField (function of y)."""
-    out = SpinorField(grid, soliton_field_hat(v, rho, grid), FOURIER)
-    return out if space == FOURIER else out.to_position()
 
 
 @dataclass(frozen=True)
@@ -172,20 +158,12 @@ def force_balance(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
 
 def _stationary_residual(psi_hat: np.ndarray, v, rho: ChargeDensity,
                          grid: GridSpec) -> float:
-    """||(-v.k - D(k)) psi_hat - rho_hat|| / ||rho_hat|| on the k-grid."""
-    rs = _rho_spinor_hat(grid, rho)
-    res = -grid.k_dot(v) * psi_hat - dirac_symbol(psi_hat, grid, rho.mass) - rs
+    """||(-v.k - D(k)) psi_hat - rho_hat e_0|| / ||rho_hat|| on the k-grid."""
+    rho_hat = rho.fourier(grid.k2)
+    res = -grid.k_dot(v) * psi_hat - dirac_symbol(psi_hat, grid, rho.mass)
+    res[0] -= rho_hat
     return float(np.sqrt(np.sum(np.abs(res) ** 2))
-                 / np.sqrt(np.sum(np.abs(rs) ** 2)))
-
-
-def stationary_residual_on_grid(v, rho: ChargeDensity, grid: GridSpec) -> float:
-    """Residual of the stationary equation applied spectrally on the same
-    grid the soliton was built on, relative to ||rho||. The construction
-    inverts the operator exactly per mode, so this is a transcription
-    identity and sits at rounding level; it catches sign or convention
-    errors, not discretization error."""
-    return _stationary_residual(soliton_field_hat(v, rho, grid), v, rho, grid)
+                 / np.sqrt(np.sum(np.abs(rho_hat) ** 2)))
 
 
 def stationary_residual(v, rho: ChargeDensity, grid: GridSpec) -> float:
@@ -209,69 +187,3 @@ def stationary_residual(v, rho: ChargeDensity, grid: GridSpec) -> float:
     idx = np.concatenate([np.arange(half), np.arange(fine.N - half, fine.N)])
     psi_f[np.ix_(range(4), idx, idx, idx)] = psi_c
     return _stationary_residual(psi_f, v, rho, fine)
-
-
-def soliton_field_direct(points, v, rho: ChargeDensity,
-                         n_r: int = 80, n_theta: int = 40,
-                         n_phi: int = 40, r_max: float = 12.0) -> np.ndarray:
-    """Independent position-space evaluation of psi_v at given points, via
-    the Green-kernel representation (v = |v| e1 frame not required):
-
-        psi_v = (i v.grad + i alpha.grad - beta m) u,
-        u(x)  = integral G_v(x - y) rho1(y) dy,
-        G_v(z) = gamma e^{-m |z~|} / (4 pi |z~|),  z~ = (gamma z_par, z_perp).
-
-    The singularity is removed by the substitution z_par = zeta_par / gamma
-    and spherical coordinates in zeta, where the Jacobian cancels 1/|zeta|.
-    Derivatives are moved onto the Gaussian rho1. Used as a few-point oracle
-    against the k-space construction; cost is O(n_r n_theta n_phi) per point.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    v = np.asarray(v, dtype=float)
-    m = rho.mass
-    speed = np.linalg.norm(v)
-    gamma = 1.0 / np.sqrt(1.0 - speed**2)
-    e_par = v / speed if speed > 0 else np.array([1.0, 0.0, 0.0])
-
-    # Gauss-Legendre in r on [0, r_max] and in cos(theta); uniform phi.
-    xr, wr = leggauss(n_r)
-    r = 0.5 * r_max * (xr + 1.0)
-    wr = 0.5 * r_max * wr
-    xc, wc = leggauss(n_theta)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-
-    # Unit directions and quadrature weights on the zeta-sphere.
-    st = np.sqrt(1.0 - xc**2)
-    dirs = np.stack([
-        np.outer(st, np.cos(phi)).ravel(),
-        np.outer(st, np.sin(phi)).ravel(),
-        np.outer(xc, np.ones(n_phi)).ravel(),
-    ], axis=1)                                        # (n_theta*n_phi, 3)
-    wang = (np.outer(wc, np.full(n_phi, wphi))).ravel()
-
-    # zeta = r * dir; z = zeta_perp + (zeta_par / gamma) e_par.
-    zeta = r[:, None, None] * dirs[None, :, :]        # (n_r, n_ang, 3)
-    zpar = zeta @ e_par
-    z = zeta + ((1.0 / gamma - 1.0) * zpar)[..., None] * e_par[None, None, :]
-    wgt = (wr[:, None] * wang[None, :]) * (r[:, None]
-                                           * np.exp(-m * r)[:, None]) / (4.0 * np.pi)
-
-    d = build_dirac_matrices()
-    out = np.empty((len(points), 4), dtype=complex)
-    for i, x in enumerate(np.asarray(points, dtype=float)):
-        y = x[None, None, :] + z
-        r2 = np.sum(y * y, axis=-1)
-        rho_val = rho.profile(r2)
-        grad = -(y / rho.sigma**2) * rho_val[..., None]
-        u = np.sum(wgt * rho_val)
-        du = np.array([np.sum(wgt * grad[..., j]) for j in range(3)])
-        spin_u = np.array([u, 0, 0, 0], dtype=complex)
-        spin_du = [np.array([du[j], 0, 0, 0], dtype=complex) for j in range(3)]
-        val = 1j * float(v @ du) * np.array([1, 0, 0, 0], dtype=complex)
-        for j, aj in enumerate(d.alphas):
-            val = val + 1j * (aj @ spin_du[j])
-        val = val - m * (d.beta @ spin_u)
-        out[i] = val
-    return out

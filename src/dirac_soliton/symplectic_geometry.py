@@ -9,13 +9,14 @@ in k-space through the exact discrete Parseval identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .field_grid import FOURIER, GridSpec, SpinorField, k_second_moments
 from .phase_space import PhaseState
-from .quadrature import QuadResult, tensor_trapezoid_3d
+from .quadrature import QuadResult, k_outer_trapezoid_3d
 from .soliton_manifold import (
     SolitonParams,
     TangentBasis,
@@ -26,8 +27,10 @@ from .soliton_manifold import (
 )
 from .spinor_algebra import ChargeDensity
 
-K_QUAD_NODES = 96          # pinned quadrature for the matrix K
+K_QUAD_NODES = 96          # pinned trapezoid intervals per axis for K and L
 K_QUAD_KMAX_SIGMAS = 8.0   # box half-width in units of 1/sigma
+H_QUAD_ORDER = 40          # pinned Gauss-Legendre nodes per panel for H
+H_QUAD_PANELS = 8          # H's panels per interval (the value uses 2x)
 
 
 def omega(Y1: PhaseState, Y2: PhaseState) -> float:
@@ -79,30 +82,20 @@ def omega_matrix_grid(tb: TangentBasis) -> np.ndarray:
     return out
 
 
-def matrix_K(v, rho: ChargeDensity, n: int = K_QUAD_NODES,
-             kmax: float | None = None) -> QuadResult:
+def matrix_K(v, rho: ChargeDensity, n: int = K_QUAD_NODES) -> QuadResult:
     """K_jl = integral k_j k_l B(k) (k^2 + m^2 + 3 (v.k)^2) / D^3 dk with
     D = k^2 + m^2 - (v.k)^2, by the pinned tensor trapezoid."""
     v = np.asarray(v, dtype=float)
     m = rho.mass
-    if kmax is None:
-        kmax = K_QUAD_KMAX_SIGMAS / rho.sigma
 
-    def integrand(k1, k2, k3):
+    def core(k1, k2, k3):
         k2tot = k1**2 + k2**2 + k3**2
         B = rho.mass * rho.fourier(k2tot) ** 2
         vk = v[0] * k1 + v[1] * k2 + v[2] * k3
         D = k2tot + m * m - vk**2
-        core = B * (k2tot + m * m + 3.0 * vk**2) / D**3
-        ks = (k1, k2, k3)
-        out = np.empty((3, 3) + np.broadcast_shapes(k1.shape, k2.shape,
-                                                    k3.shape))
-        for i in range(3):
-            for j in range(3):
-                out[i, j] = ks[i] * ks[j] * core
-        return out
+        return B * (k2tot + m * m + 3.0 * vk**2) / D**3
 
-    return tensor_trapezoid_3d(integrand, kmax, n)
+    return k_outer_trapezoid_3d(core, K_QUAD_KMAX_SIGMAS / rho.sigma, n)
 
 
 @dataclass(frozen=True)
@@ -111,19 +104,17 @@ class OmegaMatrix:
 
     block: np.ndarray
     quad_error: float
-    full: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        full = np.zeros((6, 6))
-        full[:3, 3:] = self.block
-        full[3:, :3] = -self.block
-        object.__setattr__(self, "full", full)
+    @cached_property
+    def full(self) -> np.ndarray:
+        zero = np.zeros((3, 3))
+        return np.block([[zero, self.block], [-self.block, zero]])
 
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.block)))
 
 
-def omega_plus(v, rho: ChargeDensity, n: int = K_QUAD_NODES) -> OmegaMatrix:
+def omega_plus(v, rho: ChargeDensity) -> OmegaMatrix:
     """Omega^+(v) = K + gamma E + gamma^3 v (x) v, symmetric positive
     definite for |v| < 1."""
     v = np.asarray(v, dtype=float)
@@ -131,7 +122,7 @@ def omega_plus(v, rho: ChargeDensity, n: int = K_QUAD_NODES) -> OmegaMatrix:
     if v2 >= 1.0:
         raise ValueError("|v| must be < 1")
     g = 1.0 / np.sqrt(1.0 - v2)
-    K = matrix_K(v, rho, n=n)
+    K = matrix_K(v, rho)
     block = K.value + g * np.eye(3) + g**3 * np.outer(v, v)
     return OmegaMatrix(block=block, quad_error=K.error)
 

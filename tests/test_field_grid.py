@@ -7,7 +7,6 @@ from dirac_soliton.field_grid import (
     GridSpec,
     SpinorField,
     _free_multiplier,
-    apply_alpha_dot_k,
     dirac_symbol,
     free_propagate,
     gaussian_packet,
@@ -19,6 +18,7 @@ from dirac_soliton.field_grid import (
     zero_field,
 )
 from dirac_soliton.spinor_algebra import build_dirac_matrices
+from oracles import apply_alpha_dot_k
 
 GRID = GridSpec(L=20.0, N=32)
 

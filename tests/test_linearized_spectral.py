@@ -35,7 +35,7 @@ from dirac_soliton.linearized_spectral import (
     velocity_frame,
 )
 from dirac_soliton.phase_space import PhaseState, zero_state
-from dirac_soliton.quadrature import gauss_panels_1d, monte_carlo_gaussian_3d
+from dirac_soliton.quadrature import gauss_panels_1d
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
     momentum_jacobian,
@@ -45,6 +45,7 @@ from dirac_soliton.soliton_manifold import (
 )
 from dirac_soliton.spinor_algebra import ChargeDensity, build_dirac_matrices
 from dirac_soliton.symplectic_geometry import omega, project_to_manifold
+from oracles import monte_carlo_gaussian_3d
 
 RHO = ChargeDensity()
 V6 = np.array([0.6, 0.0, 0.0])

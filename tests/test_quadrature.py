@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from dirac_soliton.quadrature import (
     ABS_TOL_TARGET,
     gauss_panels_1d,
-    monte_carlo_gaussian_3d,
     tensor_trapezoid_3d,
 )
+from oracles import monte_carlo_gaussian_3d
 
 
 def test_trapezoid_gaussian_exact_value():

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from dirac_soliton.field_grid import GridSpec, apply_alpha_dot_k, dirac_symbol
+from dirac_soliton.field_grid import GridSpec, dirac_symbol
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
     force_balance,
     momentum_jacobian,
-    soliton_field,
-    soliton_field_direct,
     soliton_field_hat,
     soliton_momentum,
     soliton_state,
     stationary_residual,
-    stationary_residual_on_grid,
     tangent_basis,
     velocity_from_momentum,
 )
 from dirac_soliton.spinor_algebra import ChargeDensity, build_dirac_matrices
+from oracles import (apply_alpha_dot_k, soliton_field, soliton_field_direct,
+                     stationary_residual_on_grid)
 
 RHO = ChargeDensity()
 GRID = GridSpec(L=40.0, N=32)

@@ -13,7 +13,6 @@ from dirac_soliton.field_grid import (
     shift_field,
 )
 from dirac_soliton.phase_space import PhaseState, zero_state
-from dirac_soliton.quadrature import monte_carlo_gaussian_3d
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
     soliton_state,
@@ -33,6 +32,7 @@ from dirac_soliton.symplectic_geometry import (
     project_to_manifold,
     symplectic_orthogonalize,
 )
+from oracles import monte_carlo_gaussian_3d
 
 RHO = ChargeDensity()
 
