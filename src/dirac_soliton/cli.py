@@ -228,7 +228,8 @@ def _cmd_project(args, sections) -> int:
 def _cmd_spectral(args, sections) -> int:
     import numpy as np
 
-    from .experiments import ConfigError, _write_json, _write_series_csv
+    from .experiments import (ConfigError, _prepare_out_dir, _write_json,
+                              _write_series_csv)
     from .linearized_spectral import f_jj_checks, spectral_matrices
 
     cfg = _run_config("spectral", args, sections)
@@ -282,9 +283,8 @@ def _cmd_spectral(args, sections) -> int:
         "samples": samples,
         "exclude": exclude,
     }
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if cfg.out_dir is not None:
+        out = _prepare_out_dir(cfg)
         header = ("omega", "F11_re", "F11_im", "F22_re", "F22_im", "F33_re",
                   "F33_im", "det_direct_re", "det_direct_im", "det_fact_re",
                   "det_fact_im", "det_rel_gap", "block_diag_residual",

@@ -136,9 +136,13 @@ def tangent_basis(v, rho: ChargeDensity, grid: GridSpec) -> TangentBasis:
     boost = 2.0 * vk * psi_hat
     boost[0] += rho_hat
     boost /= den
-    q_parts = np.vstack([np.eye(3), np.zeros((3, 3))])
-    p_parts = np.vstack([np.zeros((3, 3)), momentum_jacobian(v).T])
-    return TangentBasis(grid, v, psi_hat, boost, q_parts, p_parts)
+    return TangentBasis(grid, v, psi_hat, boost, *_particle_parts(v))
+
+
+def _particle_parts(v) -> tuple[np.ndarray, np.ndarray]:
+    """TangentBasis.q_parts and .p_parts at velocity v."""
+    return (np.vstack([np.eye(3), np.zeros((3, 3))]),
+            np.vstack([np.zeros((3, 3)), momentum_jacobian(v).T]))
 
 
 def soliton_state(params: SolitonParams, rho: ChargeDensity,

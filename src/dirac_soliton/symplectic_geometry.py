@@ -9,6 +9,7 @@ in k-space through the exact discrete Parseval identity.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +21,9 @@ from .quadrature import QuadResult, k_outer_trapezoid_3d
 from .soliton_manifold import (
     SolitonParams,
     TangentBasis,
-    soliton_field_hat,
+    _particle_parts,
     soliton_momentum,
+    soliton_state,
     tangent_basis,
     velocity_from_momentum,
 )
@@ -75,11 +77,46 @@ def omega_matrix_grid(tb: TangentBasis) -> np.ndarray:
     Translation-translation and boost-boost field parts are
     Im sum k_l k_j |f|^2 = 0, so the field part is [[0, -C], [C, 0]] with
     C_lj = Re sum k_l k_j conj(psi_v).B dk^3, exactly antisymmetric."""
-    C = k_second_moments(
-        np.sum(tb.soliton_hat.conj() * tb.boost_hat, axis=0).real, tb.grid)
+    return _gram(k_second_moments(
+        np.sum(tb.soliton_hat.conj() * tb.boost_hat, axis=0).real, tb.grid),
+        tb.q_parts, tb.p_parts)
+
+
+def _gram(C, q_parts, p_parts) -> np.ndarray:
+    """[[0, -C], [C, 0]] plus the particle part of Omega(tau_l, tau_j)."""
     out = np.block([[np.zeros((3, 3)), -C], [C, np.zeros((3, 3))]])
-    out += tb.q_parts @ tb.p_parts.T - tb.p_parts @ tb.q_parts.T
+    out += q_parts @ p_parts.T - p_parts @ q_parts.T
     return out
+
+
+# one projection trial; _rows and _jacobian_defect read it as a TangentBasis
+_ComovingSums = namedtuple("_ComovingSums", "grid v q_parts p_parts sums gram")
+
+
+def _comoving_sums(Yk: PhaseState, rho: ChargeDensity):
+    """(b, v) -> (rows, _ComovingSums) of project_to_manifold for Yk in
+    k-space, from scalar fields: psi_v_hat = (rho_hat / D)(v.k - m, 0, k_3,
+    k_1 + i k_2), so the spinor index is summed once, into u0 and u1."""
+    grid, m, rho_hat = Yk.grid, rho.mass, rho.fourier(Yk.grid.k2)
+    k1, k2, k3 = grid.k_axes
+    u0 = Yk.psi.data[0].conj()
+    u1 = (Yk.psi.data[2] * k3 + Yk.psi.data[3] * (k1 - 1j * k2)).conj()
+
+    def trial(b, v):
+        vk = grid.k_dot(v)
+        den = grid.k2 + m * m - vk**2
+        r = rho_hat / den
+        aP = (u0 * (vk - m) + u1) * r           # sum conj(psi_hat).psi_v_hat
+        aB = (u0 * rho_hat + 2.0 * vk * aP) / den       # sum conj(psi_hat).B
+        cP = r**2 * ((vk - m)**2 + grid.k2)             # sum |psi_v_hat|^2
+        cB = ((vk - m) * r * rho_hat + 2.0 * vk * cP) / den
+        e = np.exp(1j * np.multiply.outer(b, grid.k1d))  # e^{ik.b} per axis
+        phase = (e[0][:, None] * e[1])[:, :, None] * e[2]
+        parts = _particle_parts(v)
+        f = _ComovingSums(grid, v, *parts, (phase * aP - cP, phase * aB - cB),
+                          _gram(k_second_moments(cB, grid), *parts))
+        return _rows(f, f.sums, Yk.q - b, Yk.p - soliton_momentum(v)), f
+    return trial
 
 
 def matrix_K(v, rho: ChargeDensity, n: int = K_QUAD_NODES) -> QuadResult:
@@ -184,13 +221,14 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     with the transversal component Z = Y - S(sigma).
 
     The rows are taken in the comoving frame of sigma, as Omega of
-    (W - psi_v_hat, q - b, p - p_v) against tau_j(0, v), with
-    W = e^{-ik.b} psi_hat. Write dpsi = W - psi_v_hat, D = k^2 + m^2 -
-    (v.k)^2, sP = sum conj(dpsi).psi_v_hat and sB = sum conj(dpsi).B over
-    the spinor index, C = M2(Re sum conj(psi_v_hat).B) and
-    M2(w) = k_second_moments(w). The rows are r = (Re M1(sP) - (p - p_v),
-    Im M1(sB) + M_v (q - b)) with M1 = GridSpec.k_moments and
-    M_v = momentum_jacobian(v).
+    (dpsi, q - b, p - p_v) against tau_j(0, v), dpsi = e^{-ik.b} psi_hat -
+    psi_v_hat: r = (Re M1(sP) - (p - p_v), Im M1(sB) + M_v (q - b)), with
+    sP, sB the spinor sums of conj(dpsi).psi_v_hat and conj(dpsi).B,
+    M1 = GridSpec.k_moments and M_v = momentum_jacobian(v). They come from
+    scalar comoving sums (_comoving_sums): the spinor index is summed once
+    per projection, and no trial forms a tangent basis or an N^3 phase.
+    Write D = k^2 + m^2 - (v.k)^2, M2 = k_second_moments and
+    C = M2(Re sum conj(psi_v_hat).B).
 
     Damped Newton on sigma in R^6 with the exact Jacobian, rows r_j and
     columns (b, v):
@@ -211,32 +249,19 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     Newton can find roots that fail this.
     """
     Yk = Y.to_fourier()
-    grid = Y.grid
     if sigma_guess is None:
         sigma_guess = SolitonParams(b=Yk.q, v=velocity_from_momentum(Yk.p))
 
     b = sigma_guess.b.copy()
     v = sigma_guess.v.copy()
-    tb = None
-
-    def residuals_at(b_, v_):
-        nonlocal tb
-        if tb is None or not np.array_equal(tb.v, v_):
-            tb = tangent_basis(v_, rho, grid)
-        sums = _pairings(tb, grid.phase_shift(-b_) * Yk.psi.data
-                         - tb.soliton_hat)
-        return _rows(tb, sums, Yk.q - b_,
-                     Yk.p - soliton_momentum(v_)), sums
-
-    r, sums = residuals_at(b, v)
+    trial = _comoving_sums(Yk, rho)
+    r, frame = trial(b, v)
     scale = max(1.0, Yk.psi.norm())
     it = 0
     converged = bool(np.max(np.abs(r)) <= tol * scale)
     while not converged and it < max_iter:
-        # tb and sums belong to the current point: it was the last one
-        # evaluated, at the start or as the accepted trial
-        J = (_jacobian_defect(tb, sums, Yk.q - b, rho.mass)
-             - omega_matrix_grid(tb).T)
+        J = (_jacobian_defect(frame, frame.sums, Yk.q - b, rho.mass)
+             - frame.gram.T)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -246,13 +271,13 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
             b_new = b + step * delta[:3]
             v_new = v + step * delta[3:]
             if np.linalg.norm(v_new) < 1.0:
-                r_new, sums_new = residuals_at(b_new, v_new)
+                r_new, frame_new = trial(b_new, v_new)
                 if np.max(np.abs(r_new)) < np.max(np.abs(r)):
                     break
             step *= 0.5
         else:
             break
-        b, v, r, sums = b_new, v_new, r_new, sums_new
+        b, v, r, frame = b_new, v_new, r_new, frame_new
         it += 1
         converged = bool(np.max(np.abs(r)) <= tol * scale)
 
@@ -262,8 +287,8 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     else:
         # sigma stays a root along S(sigma) + t Z, where the Jacobian is
         # chord (I - t X); rho(X) < 1 keeps it invertible for t in [0, 1]
-        X = np.linalg.solve(-omega_matrix_grid(tb).T,
-                            _jacobian_defect(tb, sums, Yk.q - b, rho.mass))
+        X = np.linalg.solve(-frame.gram.T, _jacobian_defect(
+            frame, frame.sums, Yk.q - b, rho.mass))
         radius = float(np.max(np.abs(np.linalg.eigvals(X))))
         converged = radius < 1.0
         failure = (f"the root is not continued from the manifold: the "
@@ -272,13 +297,9 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     if not converged and raise_on_failure:
         raise ProjectionError(failure)
     params = SolitonParams(b, v)
-    # tb holds psi_v unless the line search ended on a rejected trial
-    hat = (tb.soliton_hat if np.array_equal(tb.v, params.v)
-           else soliton_field_hat(params.v, rho, grid))
-    S = PhaseState(SpinorField(grid, grid.phase_shift(params.b) * hat,
-                               FOURIER), params.b, params.p_v)
-    return ProjectionResult(params=params, Z=Yk - S, residuals=r,
-                            iterations=it, converged=converged)
+    return ProjectionResult(params=params,
+                            Z=Yk - soliton_state(params, rho, Yk.grid),
+                            residuals=r, iterations=it, converged=converged)
 
 
 def symplectic_orthogonalize(Z: PhaseState, tb: TangentBasis,

@@ -122,6 +122,28 @@ samples = 7
     assert json.loads((out / "spectral.json").read_text()) == summary
 
 
+def test_spectral_writes_to_the_configured_output_directory(tmp_path,
+                                                            capsys):
+    out = tmp_path / "from_config"
+    cfg = _write(tmp_path, f"""
+[initial]
+v = 0.6 0.0 0.0
+
+[spectral]
+omega_max = 1.5
+samples = 7
+
+[output]
+directory = {out}
+""")
+    assert main(["--config", cfg, "spectral"]) == EXIT_OK
+    summary = _json_out(capsys)
+    rows = (out / "spectral.csv").read_text().strip().splitlines()
+    assert rows[0].startswith("omega,F11_re")
+    assert len(rows) == 8
+    assert json.loads((out / "spectral.json").read_text()) == summary
+
+
 def test_decay_check_failure_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, """
 [grid]

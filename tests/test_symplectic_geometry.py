@@ -18,9 +18,11 @@ from dirac_soliton.soliton_manifold import (
     soliton_state,
     tangent_basis,
 )
+from dirac_soliton import symplectic_geometry
 from dirac_soliton.spinor_algebra import ChargeDensity
 from dirac_soliton.symplectic_geometry import (
     ProjectionError,
+    _comoving_sums,
     _jacobian_defect,
     _omega_rows,
     _pairings,
@@ -468,3 +470,62 @@ def test_projection_refuses_a_root_not_continued_from_the_manifold():
     assert not res.converged
     with pytest.raises(ProjectionError, match="not continued"):
         project_to_manifold(Y, RHO)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(N=st.sampled_from([8, 16]), L=st.floats(10.0, 40.0), v=_VELOCITIES,
+       b=_OFFSETS, seed=st.integers(0, 2**16))
+def test_comoving_sums_match_the_tangent_basis(N, L, v, b, seed):
+    # a projection trial's scalar sums, Gram matrix and rows against the
+    # pairings of the full tangent basis with the translated defect
+    grid = GridSpec(L, N)
+    Y = _random_state(grid, np.random.default_rng(seed))
+    b, v = np.asarray(b), np.asarray(v)
+    rows, frame = _comoving_sums(Y, RHO)(b, v)
+    tb = tangent_basis(v, RHO, grid)
+    dpsi = grid.phase_shift(-b) * Y.psi.data - tb.soliton_hat
+    for got, want in zip(frame.sums, _pairings(tb, dpsi)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    M = omega_matrix_grid(tb)
+    assert np.max(np.abs(frame.gram - M)) <= 1e-13 * np.max(np.abs(M))
+    assert np.array_equal(frame.gram, -frame.gram.T)
+    want = _omega_rows(tb, dpsi, Y.q - b, Y.p - SolitonParams(b, v).p_v)
+    assert np.max(np.abs(rows - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_projection_forms_no_basis_and_no_grid_phase_per_trial(monkeypatch):
+    # the Newton loop works on scalar sums only: no tangent basis, no Gram
+    # matrix from one, and no N^3 exponential; the one phase_shift forms Z
+    grid = GridSpec(20.0, 16)
+    Y = _perturbed(grid, [1.0, -0.5, 0.3], _V_OBLIQUE,
+                   np.random.default_rng(2))
+    sigma = SolitonParams([1.0, -0.5, 0.3], _V_OBLIQUE)
+    calls = dict.fromkeys(["tangent_basis", "omega_matrix_grid",
+                           "phase_shift", "grid_exp"], 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        calls["grid_exp"] += np.size(x) >= grid.N**3
+        return real_exp(x, *args, **kwargs)
+
+    for name in ("tangent_basis", "omega_matrix_grid"):
+        monkeypatch.setattr(symplectic_geometry, name,
+                            counting(name, getattr(symplectic_geometry, name)))
+    monkeypatch.setattr(GridSpec, "phase_shift",
+                        counting("phase_shift", GridSpec.phase_shift))
+    monkeypatch.setattr(np, "exp", exp)
+    res = project_to_manifold(Y, RHO, sigma_guess=sigma)
+    assert res.converged and res.iterations >= 1
+    newton = dict(calls)
+    S = soliton_state(sigma, RHO, grid)
+    calls.update(dict.fromkeys(calls, 0))
+    assert project_to_manifold(S, RHO, sigma_guess=sigma).iterations == 0
+    assert newton == {"tangent_basis": 0, "omega_matrix_grid": 0,
+                      "phase_shift": 1, "grid_exp": calls["grid_exp"]}
