@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 EXIT_OK = 0
@@ -37,46 +38,41 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
-# INI schema: section -> key -> parser. "vec" means three floats.
-_SCHEMA = {
-    "grid": {"L": float, "N": int},
-    "charge": {"amplitude": float, "sigma": float, "mass": float},
-    "run": {"dt": float, "T": float, "nu": float, "seed": int,
-            "sample_every": float, "snapshots": int},
-    "initial": {"type": str, "v": "vec", "b": "vec", "epsilon": float,
-                "packet_width": float, "packet_center": "vec",
-                "packet_amplitude": float},
-    "fit": {"t_min": float, "t_max": float},
-    "output": {"directory": str},
-    "spectral": {"omega_max": float, "samples": int, "exclude": float},
-}
-
-# (section, key) -> RunConfig field
-_FIELD_MAP = {
-    ("grid", "L"): "grid_L", ("grid", "N"): "grid_N",
-    ("charge", "amplitude"): "amplitude", ("charge", "sigma"): "sigma",
-    ("charge", "mass"): "mass",
-    ("run", "dt"): "dt", ("run", "T"): "t_final", ("run", "nu"): "nu",
-    ("run", "seed"): "seed", ("run", "sample_every"): "sample_every",
-    ("run", "snapshots"): "snapshots",
-    ("initial", "type"): "initial", ("initial", "v"): "v",
-    ("initial", "b"): "b", ("initial", "epsilon"): "epsilon",
-    ("initial", "packet_width"): "packet_width",
-    ("initial", "packet_center"): "packet_center",
-    ("initial", "packet_amplitude"): "packet_amplitude",
-    ("output", "directory"): "out_dir",
-}
-
-
-class CheckFailure(Exception):
-    """An acceptance band requested with --check was violated."""
-
 
 def _parse_vector(text: str):
     parts = text.replace(",", " ").split()
     if len(parts) != 3:
         raise ValueError(f"expected 3 components, got {text!r}")
     return tuple(float(p) for p in parts)
+
+
+# INI schema: (section, key) -> (parser, RunConfig field, or None for the
+# [fit] and [spectral] keys, which _run_config and spectral read directly)
+_KEYS = {
+    ("grid", "L"): (float, "grid_L"), ("grid", "N"): (int, "grid_N"),
+    ("charge", "amplitude"): (float, "amplitude"),
+    ("charge", "sigma"): (float, "sigma"), ("charge", "mass"): (float, "mass"),
+    ("run", "dt"): (float, "dt"), ("run", "T"): (float, "t_final"),
+    ("run", "nu"): (float, "nu"), ("run", "seed"): (int, "seed"),
+    ("run", "sample_every"): (float, "sample_every"),
+    ("run", "snapshots"): (int, "snapshots"),
+    ("initial", "type"): (str, "initial"),
+    ("initial", "v"): (_parse_vector, "v"),
+    ("initial", "b"): (_parse_vector, "b"),
+    ("initial", "epsilon"): (float, "epsilon"),
+    ("initial", "packet_width"): (float, "packet_width"),
+    ("initial", "packet_center"): (_parse_vector, "packet_center"),
+    ("initial", "packet_amplitude"): (float, "packet_amplitude"),
+    ("fit", "t_min"): (float, None), ("fit", "t_max"): (float, None),
+    ("output", "directory"): (str, "out_dir"),
+    ("spectral", "omega_max"): (float, None),
+    ("spectral", "samples"): (int, None),
+    ("spectral", "exclude"): (float, None),
+}
+
+
+class CheckFailure(Exception):
+    """An acceptance band requested with --check was violated."""
 
 
 def _read_ini(path: Path | None) -> dict:
@@ -96,16 +92,14 @@ def _read_ini(path: Path | None) -> dict:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     out: dict = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in {sec for sec, _ in _KEYS}:
             raise ConfigError(f"unknown config section [{section}]")
         out[section] = {}
         for key, raw in cp.items(section):
-            conv = _SCHEMA[section].get(key)
-            if conv is None:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
-                out[section][key] = (_parse_vector(raw) if conv == "vec"
-                                     else conv(raw))
+                out[section][key] = _KEYS[section, key][0](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in [{section}]: {exc}") from exc
@@ -116,8 +110,8 @@ def _run_config(kind: str, args, sections: dict):
     from .experiments import RunConfig
 
     kwargs = {"kind": kind}
-    for (sec, key), field in _FIELD_MAP.items():
-        if sec in sections and key in sections[sec]:
+    for (sec, key), (_, field) in _KEYS.items():
+        if field is not None and key in sections.get(sec, {}):
             kwargs[field] = sections[sec][key]
     fit = sections.get("fit", {})
     if "t_min" in fit or "t_max" in fit:
@@ -146,8 +140,8 @@ def _cmd_simulate(args, sections) -> int:
     import numpy as np
 
     from .coupled_dynamics import hamiltonian, simulate
-    from .experiments import (_prepare_out_dir, _write_json, initial_state,
-                              simulation_config, write_trajectory_outputs)
+    from .experiments import (initial_state, simulation_config,
+                              write_run_directory)
 
     cfg = _run_config("simulate", args, sections)
     Y0, sigma0 = initial_state(cfg)
@@ -160,11 +154,8 @@ def _cmd_simulate(args, sections) -> int:
         "hamiltonian_drift": abs(h1 - h0) / abs(h0),
         "tracking_failed_at": traj.tracking_failed_at,
     }
-    if cfg.out_dir is not None:
-        out = _prepare_out_dir(cfg)
-        write_trajectory_outputs(out, cfg, traj)
-        _write_json(out / "report.json", {**final, "hamiltonian_initial": h0,
-                                          "hamiltonian_final": h1})
+    write_run_directory(cfg, {**final, "hamiltonian_initial": h0,
+                              "hamiltonian_final": h1}, trajectory=traj)
     _emit({
         **final,
         "samples": int(traj.sample_times.size),
@@ -203,7 +194,7 @@ def _cmd_soliton(args, sections) -> int:
 def _cmd_project(args, sections) -> int:
     import numpy as np
 
-    from .experiments import initial_state
+    from .experiments import initial_state, write_run_directory
     from .field_grid import weighted_norm
     from .symplectic_geometry import project_to_manifold
 
@@ -211,7 +202,7 @@ def _cmd_project(args, sections) -> int:
     Y0, sigma0 = initial_state(cfg)
     res = project_to_manifold(Y0, cfg.rho, sigma_guess=sigma0)
     max_residual = float(np.max(np.abs(res.residuals)))
-    _emit({
+    report = {
         "b": list(map(float, res.params.b)),
         "v": list(map(float, res.params.v)),
         "iterations": res.iterations,
@@ -219,7 +210,9 @@ def _cmd_project(args, sections) -> int:
         "max_residual": max_residual,
         "z_energy_norm": res.Z.energy_norm(),
         "z_weighted_norm": weighted_norm(res.Z.psi, -cfg.nu),
-    })
+    }
+    write_run_directory(cfg, report)
+    _emit(report)
     _require(max_residual <= 1e-10,
              f"projection residual {max_residual:.3e} > 1e-10", args.check)
     return EXIT_OK
@@ -228,8 +221,7 @@ def _cmd_project(args, sections) -> int:
 def _cmd_spectral(args, sections) -> int:
     import numpy as np
 
-    from .experiments import (ConfigError, _prepare_out_dir, _write_json,
-                              _write_series_csv)
+    from .experiments import ConfigError, write_run_directory
     from .linearized_spectral import f_jj_checks, spectral_matrices
 
     cfg = _run_config("spectral", args, sections)
@@ -283,14 +275,12 @@ def _cmd_spectral(args, sections) -> int:
         "samples": samples,
         "exclude": exclude,
     }
-    if cfg.out_dir is not None:
-        out = _prepare_out_dir(cfg)
-        header = ("omega", "F11_re", "F11_im", "F22_re", "F22_im", "F33_re",
-                  "F33_im", "det_direct_re", "det_direct_im", "det_fact_re",
-                  "det_fact_im", "det_rel_gap", "block_diag_residual",
-                  "block_coupling_residual")
-        _write_series_csv(out / "spectral.csv", header, np.array(rows))
-        _write_json(out / "spectral.json", summary)
+    header = ("omega", "F11_re", "F11_im", "F22_re", "F22_im", "F33_re",
+              "F33_im", "det_direct_re", "det_direct_im", "det_fact_re",
+              "det_fact_im", "det_rel_gap", "block_diag_residual",
+              "block_coupling_residual")
+    write_run_directory(cfg, summary, series=("spectral.csv", header, rows),
+                        report_name="spectral.json")
     _emit(summary)
     _require(summary["max_det_relative_gap"] <= 1e-10,
              "determinant factorization gap exceeds 1e-10", args.check)
@@ -303,8 +293,6 @@ def _cmd_spectral(args, sections) -> int:
 
 
 def _cmd_decay(args, sections) -> int:
-    from dataclasses import asdict
-
     from .experiments import run_free_decay
 
     cfg = _run_config("decay", args, sections)
@@ -343,13 +331,16 @@ def _cmd_fit(args, sections) -> int:
     if not path.is_file():
         raise ValueError(f"input file not found: {path}")
     with open(path) as fh:
-        first = fh.readline()
-    skip = 1 if any(c.isalpha() for c in first) else 0
+        first = fh.readline().split(",")
+    try:                          # a header is a line that is not all floats
+        [float(f) for f in first]
+        skip = 0
+    except ValueError:
+        skip = 1
     data = np.loadtxt(path, delimiter=",", skiprows=skip,
                       usecols=(args.t_column, args.value_column), ndmin=2)
     window = tuple(args.window) if args.window else None
     fit = fit_power_law(data[:, 0], data[:, 1], window)
-    from dataclasses import asdict
     _emit({"fit": asdict(fit), "samples": int(data.shape[0]),
            "input": str(path)})
     return EXIT_OK

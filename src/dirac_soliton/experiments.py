@@ -10,9 +10,9 @@ machinery, plus the shared pieces of harness:
   transversal decay fit, and the Cauchy-sequence check for the outgoing
   free field.
 
-Every run can be persisted to a directory with a JSON manifest that holds
-the full configuration and seeds; re-running a manifest reproduces
-particle.csv bit for bit (the integrator and its reductions are
+write_run_directory persists every run to a directory with a JSON manifest
+that holds the full configuration and seeds; re-running a manifest
+reproduces particle.csv bit for bit (the integrator and its reductions are
 single-threaded deterministic numpy code).
 """
 
@@ -162,13 +162,9 @@ class RunConfig:
         return np.asarray(self.b, dtype=float)
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["v"] = list(d["v"])
-        d["b"] = list(d["b"])
-        d["packet_center"] = list(d["packet_center"])
-        if d["window"] is not None:
-            d["window"] = list(d["window"])
-        return d
+        """The fields as the manifest's JSON values: tuples become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -252,12 +248,8 @@ def free_decay_series(config: RunConfig, n_samples: int = 41):
 def run_free_decay(config: RunConfig) -> FitResult:
     times, norms = free_decay_series(config)
     fit = fit_power_law(times, norms, (float(times[0]), float(times[-1])))
-    if config.out_dir is not None:
-        out = _prepare_out_dir(config)
-        _write_series_csv(out / "decay.csv", ("t", "weighted_norm"),
-                          np.column_stack([times, norms]))
-        _write_manifest(out, config, files=["decay.csv", "report.json"])
-        _write_json(out / "report.json", {"fit": asdict(fit)})
+    write_run_directory(config, {"fit": asdict(fit)}, series=(
+        "decay.csv", ("t", "weighted_norm"), np.column_stack([times, norms])))
     return fit
 
 
@@ -295,16 +287,13 @@ def run_soliton_persistence(config: RunConfig) -> PersistenceReport:
     report = PersistenceReport(drift, traj.field_times, errors,
                                float(np.max(errors)) if errors.size else 0.0,
                                max_z, traj)
-    if config.out_dir is not None:
-        out = _prepare_out_dir(config)
-        write_trajectory_outputs(out, config, traj)
-        _write_json(out / "report.json", {
-            "velocity_drift": drift,
-            "max_field_error": report.max_field_error,
-            "field_error_times": list(map(float, traj.field_times)),
-            "field_errors": list(map(float, errors)),
-            "max_z_norm": max_z,
-        })
+    write_run_directory(config, {
+        "velocity_drift": drift,
+        "max_field_error": report.max_field_error,
+        "field_error_times": list(map(float, traj.field_times)),
+        "field_errors": list(map(float, errors)),
+        "max_z_norm": max_z,
+    }, trajectory=traj)
     return report
 
 
@@ -448,16 +437,16 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
         phi_times=np.asarray(phi_times), phi_cauchy=cauchy,
         remainder=remainder, trajectory=traj, validity_time=valid,
         phi_dropped=np.asarray(dropped))
-    if config.out_dir is not None:
-        out = _prepare_out_dir(config)
-        write_trajectory_outputs(out, config, traj)
-        _write_json(out / "report.json", report.summary())
+    write_run_directory(config, report.summary(), trajectory=traj)
     return report
 
 
 def simulation_config(config: RunConfig, sigma_guess=None) -> SimulationConfig:
-    """Translate a RunConfig into integrator settings; field snapshots are
-    spread evenly across the run (config.snapshots of them, 0 disables)."""
+    """Translate a RunConfig into integrator settings. Of the n = T /
+    sample_every samples, every stride-th one stores the field, with stride
+    = max(1, n // snapshots); a run thus stores n // stride + 1 snapshots,
+    t = 0 included (snapshots = 4, T = 1 and sample_every = 0.25 store 5).
+    snapshots = 0 stores none."""
     n_samples = int(round(config.t_final / config.sample_every))
     stride = (max(1, n_samples // config.snapshots)
               if config.snapshots else 0)
@@ -487,36 +476,41 @@ def initial_state(config: RunConfig):
 # Run persistence.
 # ---------------------------------------------------------------------------
 
-def _prepare_out_dir(config: RunConfig) -> Path:
+def write_run_directory(config: RunConfig, report: dict,
+                        trajectory: Trajectory | None = None, series=None,
+                        report_name: str = "report.json") -> None:
+    """Persist one run under config.out_dir; nothing when it is None.
+
+    Writes either the trajectory's particle.csv and field snapshots or the
+    series (name, header, rows) as one CSV, then the report JSON and
+    manifest.json: package and numpy versions, the full config and the
+    sorted list of exactly those files (no timestamps)."""
+    if config.out_dir is None:
+        return
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out: Path, config: RunConfig, files,
-                    snapshot_times=None) -> None:
+    files = [report_name]
     manifest = {
         "package": {"name": "dirac-soliton", "version": __version__},
         "numpy_version": np.__version__,
         "config": config.as_dict(),
-        "files": sorted(files),
     }
-    if snapshot_times is not None:
+    if trajectory is not None:
+        write_particle_csv(out / "particle.csv", trajectory, config.dt)
+        files += ["particle.csv", *write_snapshots(out, trajectory)]
         manifest["snapshot_format"] = SNAPSHOT_FORMAT
-        manifest["snapshot_times"] = list(map(float, snapshot_times))
-    _write_json(out / "manifest.json", manifest)
-
-
-def _write_series_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in np.atleast_2d(rows):
-            w.writerow([repr(float(x)) for x in row])
+        manifest["snapshot_times"] = list(map(float, trajectory.field_times))
+    if series is not None:
+        name, header, rows = series
+        with open(out / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([repr(float(x)) for x in row] for row in rows)
+        files.append(name)
+    manifest["files"] = sorted(files)
+    for name, payload in ((report_name, report), ("manifest.json", manifest)):
+        (out / name).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_particle_csv(path: Path, traj: Trajectory, dt: float) -> None:
@@ -555,11 +549,3 @@ def write_snapshots(out: Path, traj: Trajectory) -> list[str]:
                              dtype="<c16").tofile(out / name)
         names.append(name)
     return names
-
-
-def write_trajectory_outputs(out: Path, config: RunConfig,
-                             traj: Trajectory) -> None:
-    write_particle_csv(out / "particle.csv", traj, config.dt)
-    files = ["particle.csv", "report.json"]
-    files += write_snapshots(out, traj)
-    _write_manifest(out, config, files, snapshot_times=traj.field_times)

@@ -273,3 +273,62 @@ def test_simulate_of_a_non_finite_field_exits_three(tmp_path, capsys,
     assert main(["--config", cfg, "simulate"]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numerical abort" in err and "psi" in err and "t=0" in err
+
+
+def test_fit_keeps_a_headerless_first_row_in_scientific_notation(tmp_path,
+                                                                 capsys):
+    t = np.linspace(2.0, 30.0, 20)
+    path = tmp_path / "series.csv"
+    path.write_text("".join(f"{a:e},{b:e}\n" for a, b in zip(t, t ** -1.5)))
+    assert main(["fit", "--input", str(path)]) == EXIT_OK
+    report = _json_out(capsys)
+    assert report["samples"] == 20
+    assert report["fit"]["window"] == [2.0, 30.0]
+
+
+CONTRACT = """
+[grid]
+L = 20.0
+N = 16
+
+[run]
+dt = 0.05
+T = 1.0
+sample_every = 0.25
+snapshots = 2
+
+[initial]
+type = perturbed
+v = 0.3 0.0 0.0
+epsilon = 0.05
+
+[fit]
+t_min = 0.5
+t_max = 2.4
+
+[spectral]
+omega_max = 1.5
+samples = 7
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "soliton", "project",
+                                     "spectral", "decay", "scatter"])
+def test_every_subcommand_writes_one_run_directory_contract(tmp_path, capsys,
+                                                            command):
+    from dirac_soliton.experiments import RunConfig
+
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, CONTRACT)
+    assert main(["--config", cfg, "--out", str(out), "--seed", "2",
+                 command]) == EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    others = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert others and manifest["files"] == others
+    expected = RunConfig(kind=command, grid_L=20.0, grid_N=16, dt=0.05,
+                         t_final=1.0, sample_every=0.25, snapshots=2,
+                         initial="perturbed", v=(0.3, 0.0, 0.0),
+                         epsilon=0.05, window=(0.5, 2.4), seed=2,
+                         out_dir=str(out))
+    assert manifest["config"] == expected.as_dict()
