@@ -313,7 +313,9 @@ def _cmd_scatter(args, sections) -> int:
     _emit(rep.summary())
     _require(rep.captured, "state left the modulation tube (no capture)",
              args.check)
-    _require(rep.z_fit is not None and rep.z_fit.exponent <= -1.0,
+    _require(rep.z_fit is not None,
+             f"no transversal decay fit: {rep.z_fit_error}", args.check)
+    _require(rep.z_fit is None or rep.z_fit.exponent <= -1.0,
              "transversal decay exponent above -1.0", args.check)
     if rep.phi_cauchy.size >= 2:
         _require(rep.phi_cauchy[-1] < rep.phi_cauchy[0],

@@ -333,6 +333,7 @@ class ScatteringReport:
     tracking_failed_at: float | None
     qdot_exponent: float | None
     z_fit: FitResult | None
+    z_fit_error: str | None            # why z_fit is None, when it is
     phi_times: np.ndarray              # outgoing-field estimate times
     phi_cauchy: np.ndarray             # ||phi_+(t_{i+1}) - phi_+(t_i)||_0
     remainder: float                   # outgoing-wave remainder at T
@@ -349,6 +350,7 @@ class ScatteringReport:
             "tracking_failed_at": self.tracking_failed_at,
             "qdot_exponent": self.qdot_exponent,
             "z_fit": asdict(self.z_fit) if self.z_fit is not None else None,
+            "z_fit_error": self.z_fit_error,
             "phi_times": list(map(float, self.phi_times)),
             "phi_cauchy": list(map(float, self.phi_cauchy)),
             "phi_dropped": list(map(float, self.phi_dropped)),
@@ -387,15 +389,21 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
     data = extract_scattering_data(traj, t_min=t_min)
     captured = traj.tracking_failed_at is None
 
-    z_fit = None
+    z_fit, z_fit_error = None, "the run took no samples"
     if traj.sample_times.size:
         window = config.window or (t_min, config.t_final)
         good = traj.z_norms > 0
         try:
             z_fit = fit_power_law(traj.sample_times[good],
                                   traj.z_norms[good], window)
-        except ValueError:
-            pass
+            z_fit_error = None
+        except ValueError as exc:
+            z_fit_error = str(exc)
+    if z_fit_error is not None:
+        # a configured window that cannot be fit is a warning; a short
+        # run's default window is recorded in the report only
+        _log.log(logging.WARNING if config.window else logging.INFO,
+                 "no transversal decay fit: %s", z_fit_error)
 
     # outgoing-field estimates at the snapshot times plus the final time
     phi_times, phis, dropped = [], [], []
@@ -434,9 +442,9 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
         v_plus=data.v_plus, a_plus=data.a_plus, captured=captured,
         tracking_failed_at=traj.tracking_failed_at,
         qdot_exponent=data.qdot_exponent, z_fit=z_fit,
-        phi_times=np.asarray(phi_times), phi_cauchy=cauchy,
-        remainder=remainder, trajectory=traj, validity_time=valid,
-        phi_dropped=np.asarray(dropped))
+        z_fit_error=z_fit_error, phi_times=np.asarray(phi_times),
+        phi_cauchy=cauchy, remainder=remainder, trajectory=traj,
+        validity_time=valid, phi_dropped=np.asarray(dropped))
     write_run_directory(config, report.summary(), trajectory=traj)
     return report
 
@@ -540,12 +548,16 @@ def write_particle_csv(path: Path, traj: Trajectory, dt: float) -> None:
 
 def write_snapshots(out: Path, traj: Trajectory) -> list[str]:
     """Raw little-endian complex128 dumps, one file per stored field, in
-    the layout documented by SNAPSHOT_FORMAT."""
+    the layout documented by SNAPSHOT_FORMAT. Each file is written one
+    x_1 slab at a time, so the spinor-last copy is (N, N, 4), not the
+    whole field."""
     names = []
     for i, snap in enumerate(traj.fields):
         name = f"field_{i:04d}.raw"
-        pos = snap.to_position()
-        np.ascontiguousarray(pos.data.transpose(1, 2, 3, 0),
-                             dtype="<c16").tofile(out / name)
+        data = snap.to_position().data
+        with open(out / name, "wb") as fh:
+            for slab in range(data.shape[1]):
+                np.ascontiguousarray(data[:, slab].transpose(1, 2, 0),
+                                     dtype="<c16").tofile(fh)
         names.append(name)
     return names

@@ -115,16 +115,23 @@ class SpinorField:
         if self.space == FOURIER:
             return self
         g = self.grid
-        amp = (2.0 * np.pi) ** -1.5 * g.h**3 * g.N**3
-        data = amp * g._center_phase * np.fft.ifftn(self.data, axes=(1, 2, 3))
+        data = np.fft.ifftn(self.data, axes=(1, 2, 3),
+                            out=np.empty_like(self.data, dtype=complex))
+        data *= g._center_phase
+        data *= (2.0 * np.pi) ** -1.5 * g.h**3 * g.N**3
         return SpinorField(g, data, FOURIER)
 
     def to_position(self) -> "SpinorField":
+        """The field in position space. Like to_fourier, it allocates one
+        (4, N, N, N) array, the result, and runs numpy's FFT in place in
+        it; the centre phase is +-1, so the values equal those of the
+        allocating route bit for bit."""
         if self.space == POSITION:
             return self
         g = self.grid
-        amp = (2.0 * np.pi) ** -1.5 * g.dk**3
-        data = amp * np.fft.fftn(g._center_phase * self.data, axes=(1, 2, 3))
+        data = np.multiply(g._center_phase, self.data, dtype=complex)
+        np.fft.fftn(data, axes=(1, 2, 3), out=data)
+        data *= (2.0 * np.pi) ** -1.5 * g.dk**3
         return SpinorField(g, data, POSITION)
 
     def norm(self) -> float:
@@ -296,7 +303,8 @@ def moving_frame_propagate(psi: SpinorField, t: float, v,
 
 
 def weighted_norm(psi: SpinorField, nu: float) -> float:
-    """Weighted Agmon norm ||(1+|x|)^nu psi||_{L^2} on the grid."""
+    """Weighted Agmon norm ||(1+|x|)^nu psi||_{L^2} on the grid. A Fourier
+    psi goes through to_position, which holds one field."""
     pos = psi.to_position()
     w = (1.0 + pos.grid.x_radius) ** nu
     return float(np.sqrt(pos.grid.h**3

@@ -23,7 +23,6 @@ from .soliton_manifold import (
     TangentBasis,
     _particle_parts,
     soliton_momentum,
-    soliton_state,
     tangent_basis,
     velocity_from_momentum,
 )
@@ -89,8 +88,16 @@ def _gram(C, q_parts, p_parts) -> np.ndarray:
     return out
 
 
-# one projection trial; _rows and _jacobian_defect read it as a TangentBasis
-_ComovingSums = namedtuple("_ComovingSums", "grid v q_parts p_parts sums gram")
+# one projection trial; _rows and _jacobian_defect read it as a TangentBasis.
+# vk = v.k and r = rho_hat / D are its k-grid arrays and e the 1-D factors
+# of e^{ik.b}, kept to form Z = Y - S(sigma)
+_ComovingSums = namedtuple("_ComovingSums", "grid v q_parts p_parts sums gram "
+                           "vk r e")
+
+
+def _separable_phase(e: np.ndarray) -> np.ndarray:
+    """e^{ik.b} on the k-grid from its (3, N) per-axis factors."""
+    return (e[0][:, None] * e[1])[:, :, None] * e[2]
 
 
 def _comoving_sums(Yk: PhaseState, rho: ChargeDensity):
@@ -111,10 +118,11 @@ def _comoving_sums(Yk: PhaseState, rho: ChargeDensity):
         cP = r**2 * ((vk - m)**2 + grid.k2)             # sum |psi_v_hat|^2
         cB = ((vk - m) * r * rho_hat + 2.0 * vk * cP) / den
         e = np.exp(1j * np.multiply.outer(b, grid.k1d))  # e^{ik.b} per axis
-        phase = (e[0][:, None] * e[1])[:, :, None] * e[2]
+        phase = _separable_phase(e)
         parts = _particle_parts(v)
         f = _ComovingSums(grid, v, *parts, (phase * aP - cP, phase * aB - cB),
-                          _gram(k_second_moments(cB, grid), *parts))
+                          _gram(k_second_moments(cB, grid), *parts),
+                          vk, r, e)
         return _rows(f, f.sums, Yk.q - b, Yk.p - soliton_momentum(v)), f
     return trial
 
@@ -298,8 +306,23 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
         raise ProjectionError(failure)
     params = SolitonParams(b, v)
     return ProjectionResult(params=params,
-                            Z=Yk - soliton_state(params, rho, Yk.grid),
+                            Z=_transversal(Yk, frame, params, rho.mass),
                             residuals=r, iterations=it, converged=converged)
+
+
+def _transversal(Yk: PhaseState, frame: _ComovingSums, params: SolitonParams,
+                 m: float) -> PhaseState:
+    """Z = Yk - S(sigma) at the trial point of frame, in one (4, N, N, N)
+    array: the soliton field e^{ik.b} psi_v_hat is phase r (v.k - m, 0,
+    k_3, k_1 + i k_2) from the trial's own arrays."""
+    k1, k2, k3 = frame.grid.k_axes
+    pr = _separable_phase(frame.e) * frame.r
+    z = np.array(Yk.psi.data, dtype=complex)
+    z[0] -= pr * (frame.vk - m)
+    z[2] -= pr * k3
+    z[3] -= pr * (k1 + 1j * k2)
+    return PhaseState(SpinorField(frame.grid, z, FOURIER), Yk.q - params.b,
+                      Yk.p - params.p_v)
 
 
 def symplectic_orthogonalize(Z: PhaseState, tb: TangentBasis,

@@ -1,7 +1,8 @@
 """Independent oracles for the tests, kept apart from the package's hot
 path: a position-space soliton by Green-kernel quadrature, a Monte-Carlo
 Gaussian integral, the dense alpha.k product, the grid-consistency form
-of the stationary residual, and the real pair by the FFT round trip."""
+of the stationary residual, the real pair by the FFT round trip, and the
+allocating transforms."""
 
 from __future__ import annotations
 
@@ -135,3 +136,18 @@ def real_pair_hat_fft(psi: SpinorField) -> tuple[np.ndarray, np.ndarray]:
     x1 = SpinorField(g, pos.data.real.astype(complex), POSITION)
     x2 = SpinorField(g, pos.data.imag.astype(complex), POSITION)
     return x1.to_fourier().data, x2.to_fourier().data
+
+
+def to_position_allocating(psi: SpinorField) -> np.ndarray:
+    """Position-space data of a Fourier field by the allocating route:
+    centre phase, FFT and scale each form a new (4, N, N, N) array."""
+    g = psi.grid
+    amp = (2.0 * np.pi) ** -1.5 * g.dk**3
+    return amp * np.fft.fftn(g._center_phase * psi.data, axes=(1, 2, 3))
+
+
+def to_fourier_allocating(psi: SpinorField) -> np.ndarray:
+    """Fourier data of a position-space field by the allocating route."""
+    g = psi.grid
+    amp = (2.0 * np.pi) ** -1.5 * g.h**3 * g.N**3
+    return amp * g._center_phase * np.fft.ifftn(psi.data, axes=(1, 2, 3))

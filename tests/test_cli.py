@@ -184,6 +184,45 @@ epsilon = 0.05
     assert len(report["phi_cauchy"]) == len(report["phi_times"]) - 1
 
 
+def test_scatter_check_names_a_fit_window_too_short_to_fit(tmp_path,
+                                                           capsys, caplog):
+    # T = 1.5 sampled every 0.25 leaves 5 samples in [0.5, 2.4]: the
+    # transversal fit is refused, and the report and the check say why
+    cfg = _write(tmp_path, """
+[grid]
+L = 20.0
+N = 16
+
+[run]
+dt = 0.05
+T = 1.5
+sample_every = 0.25
+snapshots = 3
+
+[initial]
+type = perturbed
+v = 0.3 0.0 0.0
+epsilon = 0.05
+
+[fit]
+t_min = 0.5
+t_max = 2.4
+""")
+    out = tmp_path / "run"
+    assert main(["--config", cfg, "--seed", "1", "--out", str(out), "--check",
+                 "scatter"]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["z_fit"] is None
+    assert "holds 5 samples" in report["z_fit_error"]
+    assert json.loads((out / "report.json").read_text()) == report
+    assert "no transversal decay fit" in captured.err
+    assert "holds 5 samples" in captured.err
+    assert "exponent above" not in captured.err
+    assert any("holds 5 samples" in r.getMessage() for r in caplog.records
+               if r.levelname == "WARNING")
+
+
 def test_fit_subcommand(tmp_path, capsys):
     t = np.linspace(2.0, 30.0, 60)
     lines = ["t,value"] + [f"{float(a)!r},{float(b)!r}"

@@ -215,11 +215,14 @@ def test_snapshot_layout_roundtrip(tmp_path):
     assert "field_0000.raw" in manifest["files"]
     assert manifest["snapshot_times"] == [float(t) for t
                                           in report.field_error_times]
-    raw = np.fromfile(tmp_path / "field_0000.raw", dtype="<c16")
+    fields = report.trajectory.fields
+    assert len(fields) >= 2
     N = cfg.grid_N
-    back = raw.reshape(N, N, N, 4).transpose(3, 0, 1, 2)
-    expect = report.trajectory.fields[0].to_position().data
-    assert np.array_equal(back, expect)
+    for i, field in enumerate(fields):
+        # written one x_1 slab at a time, read back as one spinor-last block
+        raw = np.fromfile(tmp_path / f"field_{i:04d}.raw", dtype="<c16")
+        back = raw.reshape(N, N, N, 4).transpose(3, 0, 1, 2)
+        assert np.array_equal(back, field.to_position().data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_soliton.field_grid import (
     FOURIER,
+    POSITION,
     GridSpec,
     SpinorField,
     _free_multiplier,
@@ -18,7 +21,11 @@ from dirac_soliton.field_grid import (
     zero_field,
 )
 from dirac_soliton.spinor_algebra import build_dirac_matrices
-from oracles import apply_alpha_dot_k
+from oracles import (
+    apply_alpha_dot_k,
+    to_fourier_allocating,
+    to_position_allocating,
+)
 
 GRID = GridSpec(L=20.0, N=32)
 
@@ -294,3 +301,38 @@ def test_free_multiplier_memo_is_exact_and_read_only(grid, m, t, t_other,
     for cached in _free_multiplier(grid, t, m):
         with pytest.raises(ValueError):
             cached[(0,) * 3] = 0.0
+
+
+def _random_data(n, seed):
+    rng = np.random.default_rng(seed)
+    shape = (4, n, n, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_transforms_are_bit_identical_to_the_allocating_route(n, seed):
+    grid = GridSpec(13.0, n)
+    data = _random_data(n, seed)
+    hat = SpinorField(grid, data, FOURIER)
+    pos = SpinorField(grid, data, POSITION)
+    assert np.array_equal(hat.to_position().data, to_position_allocating(hat))
+    assert np.array_equal(pos.to_fourier().data, to_fourier_allocating(pos))
+    # the input is left as it was
+    assert np.array_equal(hat.data, data) and np.array_equal(pos.data, data)
+
+
+def test_to_position_holds_one_field():
+    # numpy's FFT runs in place in the result: the peak of one transform
+    # is the field it returns, not the three arrays of the allocating route
+    hat = SpinorField(GridSpec(20.0, 32), _random_data(32, 3), FOURIER)
+    hat.to_position()                   # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        pos = hat.to_position()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * pos.data.nbytes

@@ -495,7 +495,8 @@ def test_comoving_sums_match_the_tangent_basis(N, L, v, b, seed):
 
 def test_projection_forms_no_basis_and_no_grid_phase_per_trial(monkeypatch):
     # the Newton loop works on scalar sums only: no tangent basis, no Gram
-    # matrix from one, and no N^3 exponential; the one phase_shift forms Z
+    # matrix from one, and no N^3 exponential; Z comes from the final
+    # trial's arrays, with no phase_shift either
     grid = GridSpec(20.0, 16)
     Y = _perturbed(grid, [1.0, -0.5, 0.3], _V_OBLIQUE,
                    np.random.default_rng(2))
@@ -528,4 +529,20 @@ def test_projection_forms_no_basis_and_no_grid_phase_per_trial(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert project_to_manifold(S, RHO, sigma_guess=sigma).iterations == 0
     assert newton == {"tangent_basis": 0, "omega_matrix_grid": 0,
-                      "phase_shift": 1, "grid_exp": calls["grid_exp"]}
+                      "phase_shift": 0, "grid_exp": calls["grid_exp"]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(N=st.sampled_from([8, 16]), v=_VELOCITIES, b=_OFFSETS,
+       seed=st.integers(0, 2**16))
+def test_projection_z_is_the_state_minus_the_soliton(N, v, b, seed):
+    # Z is formed from the final trial's r, v.k and separable phase; it is
+    # Yk - soliton_state(sigma) to rounding
+    grid = GridSpec(20.0, N)
+    Yk = _perturbed(grid, b, v, np.random.default_rng(seed))
+    res = project_to_manifold(Yk, RHO)
+    want = Yk - soliton_state(res.params, RHO, grid)
+    assert (np.max(np.abs(res.Z.psi.data - want.psi.data))
+            <= 1e-14 * np.max(np.abs(Yk.psi.data)))
+    assert np.array_equal(res.Z.q, want.q) and np.array_equal(res.Z.p, want.p)
+    assert res.Z.psi.space == FOURIER
