@@ -43,7 +43,7 @@ from .field_grid import (
     weighted_norm,
 )
 from .phase_space import PhaseState
-from .soliton_manifold import SolitonParams, soliton_state, tangent_basis
+from .soliton_manifold import SolitonParams, soliton_state
 from .spinor_algebra import ChargeDensity
 from .symplectic_geometry import (
     ProjectionError,
@@ -320,8 +320,7 @@ def perturbed_soliton(params: SolitonParams, rho: ChargeDensity,
     dp = epsilon * 0.4 * rng.standard_normal(3)
     Z0 = PhaseState(bump, np.zeros(3), dp)
     if epsilon > 0:
-        tb = tangent_basis(params.v, rho, grid)
-        Z0 = symplectic_orthogonalize(Z0, tb, b=params.b)
+        Z0 = symplectic_orthogonalize(Z0, params.v, rho, b=params.b)
     return soliton_state(params, rho, grid) + Z0
 
 

@@ -41,15 +41,12 @@ from .field_grid import (FOURIER, GridSpec, SpinorField, dirac_symbol,
                          k_second_moments)
 from .phase_space import PhaseState
 from .quadrature import QuadResult, gauss_panels_1d, k_outer_trapezoid_3d
-from .soliton_manifold import (
-    momentum_jacobian,
-    soliton_field_hat,
-    tangent_basis,
-)
+from .soliton_manifold import momentum_jacobian, soliton_field_hat
 from .spinor_algebra import ChargeDensity
 from .symplectic_geometry import (H_QUAD_ORDER, H_QUAD_PANELS,
                                   K_QUAD_KMAX_SIGMAS, K_QUAD_NODES,
-                                  _omega_rows, matrix_K)
+                                  _rows, _separable_phase, _state_pairings,
+                                  matrix_K)
 
 # Below this |omega| the pencil is inverted through the factorized block
 # formulas instead of np.linalg.inv (the direct inverse loses all digits
@@ -614,25 +611,21 @@ class OrthogonalityCheck:
 
 
 def orthogonality_check(Z0: PhaseState, v, rho: ChargeDensity,
-                        tb=None, b=None) -> OrthogonalityCheck:
+                        b=None) -> OrthogonalityCheck:
     """Evaluate both orthogonality formulations for Z0 at velocity v.
 
     The functionals are built around the soliton centered at the origin;
     a difference taken at manifold point (b, v) is recentered by passing
-    b. A precomputed tangent basis at v may be passed to amortize
-    repeated checks on the same grid."""
+    b. The form side Omega(Z0, tau_j(b, v)) comes from the comoving
+    pairings that project_to_manifold and symplectic_orthogonalize read."""
     v = np.asarray(v, dtype=float)
-    if b is not None:
-        hat = Z0.psi.to_fourier()
-        recentered = SpinorField(
-            Z0.grid, Z0.grid.phase_shift(-np.asarray(b, dtype=float))
-            * hat.data, FOURIER)
-        Z0 = PhaseState(recentered, Z0.q, Z0.p)
-    if tb is None:
-        tb = tangent_basis(v, rho, Z0.grid)
     Zk = Z0.to_fourier()
-    rows = _omega_rows(tb, Zk.psi.data, Zk.q, Zk.p)
-    phi0 = phi_lambda(Zk.psi, 0.0, v, rho)
-    phi1 = phi_prime_zero(Zk.psi, v, rho)
+    b = np.zeros(3) if b is None else np.asarray(b, dtype=float)
+    frame, e, pairings = _state_pairings(Zk, rho)(b, v)
+    rows = _rows(frame, pairings, Zk.q, Zk.p)
+    psi = SpinorField(Zk.grid, _separable_phase(e).conj() * Zk.psi.data,
+                      FOURIER)                     # e^{-ik.b} psi_hat
+    phi0 = phi_lambda(psi, 0.0, v, rho)
+    phi1 = phi_prime_zero(psi, v, rho)
     return OrthogonalityCheck(phi0 + Zk.p, phi1 + momentum_jacobian(v) @ Zk.q,
                               -rows[:3], rows[3:])

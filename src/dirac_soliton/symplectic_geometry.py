@@ -44,31 +44,22 @@ def omega(Y1: PhaseState, Y2: PhaseState) -> float:
     return field_part + float(Y1.q @ Y2.p - Y1.p @ Y2.q)
 
 
-def _pairings(tb: TangentBasis, psi_hat: np.ndarray):
-    """sum conj(Y).psi_v and sum conj(Y).B over the spinor index, for Y
-    given by raw k-space field data in the comoving frame of the basis;
-    the Omega rows and the projection's Jacobian are k-moments of these."""
-    y = psi_hat.conj()
-    return np.sum(y * tb.soliton_hat, axis=0), np.sum(y * tb.boost_hat, axis=0)
+# the tangent space at velocity v in scalar k-grid fields: vk = v.k, den = D
+# and r = rho_hat / D, so psi_v_hat = r (vk - m, 0, k_3, k_1 + i k_2) and
+# B = (rho_hat e_0 + 2 vk psi_v_hat) / D; cP and cB are the spinor sums
+# |psi_v_hat|^2 and conj(psi_v_hat).B, gram is Omega(tau_l, tau_j)
+_Frame = namedtuple("_Frame", "grid v q_parts p_parts vk den r cP cB gram")
 
 
-def _rows(tb: TangentBasis, pairings, q: np.ndarray,
-          p: np.ndarray) -> np.ndarray:
-    """Omega(Y, tau_j) for all six j from Y's pairings with the basis: the
-    field parts are Re sum k_j conj(Y).psi_v (translations) and
-    Im sum k_j conj(Y).B (boosts)."""
-    sP, sB = pairings
-    g = tb.grid
-    field_part = np.concatenate([g.k_moments(sP).real, g.k_moments(sB).imag])
-    return field_part + tb.p_parts @ q - tb.q_parts @ p
-
-
-def _omega_rows(tb: TangentBasis, psi_hat: np.ndarray, q: np.ndarray,
-                p: np.ndarray) -> np.ndarray:
-    """Omega(Y, tau_j) for all six j at once; Y given by raw k-space field
-    data plus (q, p), the field taken in the comoving frame of the basis
-    (for tau_j translated to b, pass e^{-ik.b} times the lab-frame field)."""
-    return _rows(tb, _pairings(tb, psi_hat), q, p)
+def _frame(v, rho_hat: np.ndarray, grid: GridSpec, m: float) -> _Frame:
+    vk = grid.k_dot(v)
+    den = grid.k2 + m * m - vk**2
+    r = rho_hat / den
+    cP = r**2 * ((vk - m)**2 + grid.k2)
+    cB = ((vk - m) * r * rho_hat + 2.0 * vk * cP) / den
+    parts = _particle_parts(v)
+    return _Frame(grid, v, *parts, vk, den, r, cP, cB,
+                  _gram(k_second_moments(cB, grid), *parts))
 
 
 def omega_matrix_grid(tb: TangentBasis) -> np.ndarray:
@@ -88,11 +79,14 @@ def _gram(C, q_parts, p_parts) -> np.ndarray:
     return out
 
 
-# one projection trial; _rows and _jacobian_defect read it as a TangentBasis.
-# vk = v.k and r = rho_hat / D are its k-grid arrays and e the 1-D factors
-# of e^{ik.b}, kept to form Z = Y - S(sigma)
-_ComovingSums = namedtuple("_ComovingSums", "grid v q_parts p_parts sums gram "
-                           "vk r e")
+def _rows(frame: _Frame, pairings, q, p) -> np.ndarray:
+    """Omega(Y, tau_j) for all six j from Y's comoving pairings sP, sB
+    with psi_v_hat and B: the field parts are Re sum k_j sP
+    (translations) and Im sum k_j sB (boosts)."""
+    sP, sB = pairings
+    g = frame.grid
+    field_part = np.concatenate([g.k_moments(sP).real, g.k_moments(sB).imag])
+    return field_part + frame.p_parts @ q - frame.q_parts @ p
 
 
 def _separable_phase(e: np.ndarray) -> np.ndarray:
@@ -100,30 +94,39 @@ def _separable_phase(e: np.ndarray) -> np.ndarray:
     return (e[0][:, None] * e[1])[:, :, None] * e[2]
 
 
-def _comoving_sums(Yk: PhaseState, rho: ChargeDensity):
-    """(b, v) -> (rows, _ComovingSums) of project_to_manifold for Yk in
-    k-space, from scalar fields: psi_v_hat = (rho_hat / D)(v.k - m, 0, k_3,
-    k_1 + i k_2), so the spinor index is summed once, into u0 and u1."""
+def _state_pairings(Yk: PhaseState, rho: ChargeDensity):
+    """(b, v) -> (frame, e, pairings) for Yk in k-space: the spinor sums of
+    conj(e^{-ik.b} psi_hat) with psi_v_hat and B, so Omega(Y, tau_j(b, v))
+    = _rows(frame, pairings, q, p), and e, the (3, N) factors of e^{ik.b}.
+    The spinor index of conj(psi_hat) is summed once, into u0 and u1."""
     grid, m, rho_hat = Yk.grid, rho.mass, rho.fourier(Yk.grid.k2)
     k1, k2, k3 = grid.k_axes
     u0 = Yk.psi.data[0].conj()
     u1 = (Yk.psi.data[2] * k3 + Yk.psi.data[3] * (k1 - 1j * k2)).conj()
 
-    def trial(b, v):
-        vk = grid.k_dot(v)
-        den = grid.k2 + m * m - vk**2
-        r = rho_hat / den
-        aP = (u0 * (vk - m) + u1) * r           # sum conj(psi_hat).psi_v_hat
-        aB = (u0 * rho_hat + 2.0 * vk * aP) / den       # sum conj(psi_hat).B
-        cP = r**2 * ((vk - m)**2 + grid.k2)             # sum |psi_v_hat|^2
-        cB = ((vk - m) * r * rho_hat + 2.0 * vk * cP) / den
-        e = np.exp(1j * np.multiply.outer(b, grid.k1d))  # e^{ik.b} per axis
+    def at(b, v):
+        f = _frame(v, rho_hat, grid, m)
+        aP = (u0 * (f.vk - m) + u1) * f.r
+        aB = (u0 * rho_hat + 2.0 * f.vk * aP) / f.den
+        e = np.exp(1j * np.multiply.outer(b, grid.k1d))
         phase = _separable_phase(e)
-        parts = _particle_parts(v)
-        f = _ComovingSums(grid, v, *parts, (phase * aP - cP, phase * aB - cB),
-                          _gram(k_second_moments(cB, grid), *parts),
-                          vk, r, e)
-        return _rows(f, f.sums, Yk.q - b, Yk.p - soliton_momentum(v)), f
+        return f, e, (np.multiply(phase, aP, out=aP),
+                      np.multiply(phase, aB, out=aB))
+    return at
+
+
+def _comoving_sums(Yk: PhaseState, rho: ChargeDensity):
+    """(b, v) -> (rows, (frame, sums, e)) of project_to_manifold for Yk in
+    k-space: sums pair the comoving defect e^{-ik.b} psi_hat - psi_v_hat,
+    the state's pairings less the soliton's own cP and cB."""
+    pairings = _state_pairings(Yk, rho)
+
+    def trial(b, v):
+        f, e, (sP, sB) = pairings(b, v)
+        sP -= f.cP
+        sB -= f.cB
+        return (_rows(f, (sP, sB), Yk.q - b, Yk.p - soliton_momentum(v)),
+                (f, (sP, sB), e))
     return trial
 
 
@@ -199,21 +202,19 @@ class ProjectionError(RuntimeError):
     defined)."""
 
 
-def _jacobian_defect(tb: TangentBasis, pairings, dq: np.ndarray,
-                     m: float) -> np.ndarray:
+def _jacobian_defect(frame: _Frame, sums, dq: np.ndarray) -> np.ndarray:
     """The exact Jacobian of project_to_manifold's residual at the point of
-    tb minus the chord matrix -Omega(tau_l, tau_j)^T: the symmetric terms
-    linear in the defect, from its pairings sP, sB and dq = q_Y - b. The
-    boost-boost term uses d_{v_l}(k_j B) = k_j k_l (2 psi_v + 4 (v.k) B) / D
-    and d_{v_l} M_v = gamma^3 v_l E + 3 gamma^5 v_l v (x) v
-                      + gamma^3 (e_l (x) v + v (x) e_l)."""
-    sP, sB = pairings
-    g, v = tb.grid, tb.v
-    vk = g.k_dot(v)
+    frame minus the chord matrix -Omega(tau_l, tau_j)^T: the symmetric
+    terms linear in the defect, from its pairings sP, sB and dq = q_Y - b.
+    The boost-boost term uses d_{v_l}(k_j B) = k_j k_l (2 psi_v + 4 (v.k) B)
+    / D and d_{v_l} M_v = gamma^3 v_l E + 3 gamma^5 v_l v (x) v
+                          + gamma^3 (e_l (x) v + v (x) e_l)."""
+    sP, sB = sums
+    g, v = frame.grid, frame.v
     mP = k_second_moments(sP, g)
     mB = k_second_moments(sB, g).real
-    mV = k_second_moments((2.0 * sP + 4.0 * vk * sB)
-                          / (g.k2 + m * m - vk**2), g).imag
+    mV = k_second_moments((2.0 * sP + 4.0 * frame.vk * sB) / frame.den,
+                          g).imag
     gam, vd = 1.0 / np.sqrt(1.0 - float(v @ v)), float(v @ dq)
     slope = (gam**3 * (np.outer(dq, v) + np.outer(v, dq) + vd * np.eye(3))
              + 3.0 * gam**5 * vd * np.outer(v, v))
@@ -263,13 +264,12 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     b = sigma_guess.b.copy()
     v = sigma_guess.v.copy()
     trial = _comoving_sums(Yk, rho)
-    r, frame = trial(b, v)
+    r, (frame, sums, e) = trial(b, v)
     scale = max(1.0, Yk.psi.norm())
     it = 0
     converged = bool(np.max(np.abs(r)) <= tol * scale)
     while not converged and it < max_iter:
-        J = (_jacobian_defect(frame, frame.sums, Yk.q - b, rho.mass)
-             - frame.gram.T)
+        J = _jacobian_defect(frame, sums, Yk.q - b) - frame.gram.T
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -279,13 +279,13 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
             b_new = b + step * delta[:3]
             v_new = v + step * delta[3:]
             if np.linalg.norm(v_new) < 1.0:
-                r_new, frame_new = trial(b_new, v_new)
+                r_new, point_new = trial(b_new, v_new)
                 if np.max(np.abs(r_new)) < np.max(np.abs(r)):
                     break
             step *= 0.5
         else:
             break
-        b, v, r, frame = b_new, v_new, r_new, frame_new
+        b, v, r, (frame, sums, e) = b_new, v_new, r_new, point_new
         it += 1
         converged = bool(np.max(np.abs(r)) <= tol * scale)
 
@@ -295,8 +295,8 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     else:
         # sigma stays a root along S(sigma) + t Z, where the Jacobian is
         # chord (I - t X); rho(X) < 1 keeps it invertible for t in [0, 1]
-        X = np.linalg.solve(-frame.gram.T, _jacobian_defect(
-            frame, frame.sums, Yk.q - b, rho.mass))
+        X = np.linalg.solve(-frame.gram.T,
+                            _jacobian_defect(frame, sums, Yk.q - b))
         radius = float(np.max(np.abs(np.linalg.eigvals(X))))
         converged = radius < 1.0
         failure = (f"the root is not continued from the manifold: the "
@@ -305,39 +305,45 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     if not converged and raise_on_failure:
         raise ProjectionError(failure)
     params = SolitonParams(b, v)
-    return ProjectionResult(params=params,
-                            Z=_transversal(Yk, frame, params, rho.mass),
-                            residuals=r, iterations=it, converged=converged)
+    # Z = Yk - S(sigma) from the final trial's arrays: the soliton field
+    # e^{ik.b} psi_v_hat is phase r (v.k - m, 0, k_3, k_1 + i k_2)
+    z = _subtract_spinor(np.array(Yk.psi.data, dtype=complex),
+                         _separable_phase(e) * frame.r, frame, rho.mass)
+    Z = PhaseState(SpinorField(Yk.grid, z, FOURIER), Yk.q - b,
+                   Yk.p - params.p_v)
+    return ProjectionResult(params=params, Z=Z, residuals=r, iterations=it,
+                            converged=converged)
 
 
-def _transversal(Yk: PhaseState, frame: _ComovingSums, params: SolitonParams,
-                 m: float) -> PhaseState:
-    """Z = Yk - S(sigma) at the trial point of frame, in one (4, N, N, N)
-    array: the soliton field e^{ik.b} psi_v_hat is phase r (v.k - m, 0,
-    k_3, k_1 + i k_2) from the trial's own arrays."""
+def _subtract_spinor(z: np.ndarray, w: np.ndarray, frame: _Frame,
+                     m: float) -> np.ndarray:
+    """z -= w (v.k - m, 0, k_3, k_1 + i k_2) in place and return z: w times
+    the spinor shape of psi_v_hat = r (v.k - m, 0, k_3, k_1 + i k_2)."""
     k1, k2, k3 = frame.grid.k_axes
-    pr = _separable_phase(frame.e) * frame.r
-    z = np.array(Yk.psi.data, dtype=complex)
-    z[0] -= pr * (frame.vk - m)
-    z[2] -= pr * k3
-    z[3] -= pr * (k1 + 1j * k2)
-    return PhaseState(SpinorField(frame.grid, z, FOURIER), Yk.q - params.b,
-                      Yk.p - params.p_v)
+    z[0] -= w * (frame.vk - m)
+    z[2] -= w * k3
+    z[3] -= w * (k1 + 1j * k2)
+    return z
 
 
-def symplectic_orthogonalize(Z: PhaseState, tb: TangentBasis,
+def symplectic_orthogonalize(Z: PhaseState, v, rho: ChargeDensity,
                              b=None) -> PhaseState:
-    """Remove the tangent components of Z: returns Z - sum c_l tau_l with
-    Omega(result, tau_j) = 0 for all j (used to build transversal data)."""
+    """Remove the tangent components of Z at sigma = (b, v), b = 0 by
+    default: returns Z - sum c_l tau_l(b, v) with Omega(result, tau_j) = 0
+    for all j (used to build transversal data). The rows are Z's comoving
+    pairings and the Gram matrix the same frame's; the removed field
+    i (k.c_b) psi_v_hat + (k.c_v) B is written from scalars as phase r
+    [(i k.c_b + 2 (v.k)(k.c_v) / D)(v.k - m, 0, k_3, k_1 + i k_2)
+    + (k.c_v) e_0]."""
     Zk = Z.to_fourier()
-    grid = Z.grid
-    phase = grid.phase_shift(b) if b is not None else np.ones(1)
-    r = _omega_rows(tb, phase.conj() * Zk.psi.data, Zk.q, Zk.p)
-    M = omega_matrix_grid(tb).T        # M[j,l] = Omega(tau_l, tau_j)
-    c = np.linalg.solve(M, r)
-    tangent = (1j * grid.k_dot(c[:3]) * tb.soliton_hat
-               + grid.k_dot(c[3:]) * tb.boost_hat)
-    new_psi = Zk.psi.data - phase * tangent
-    new_q = Zk.q - c @ tb.q_parts
-    new_p = Zk.p - c @ tb.p_parts
-    return PhaseState(SpinorField(grid, new_psi, FOURIER), new_q, new_p)
+    b = np.zeros(3) if b is None else np.asarray(b, dtype=float)
+    f, e, pairings = _state_pairings(Zk, rho)(b, np.asarray(v, dtype=float))
+    # gram.T[j, l] = Omega(tau_l, tau_j)
+    c = np.linalg.solve(f.gram.T, _rows(f, pairings, Zk.q, Zk.p))
+    kb, kv = f.grid.k_dot(c[:3]), f.grid.k_dot(c[3:])
+    w = _separable_phase(e) * f.r
+    z = _subtract_spinor(np.array(Zk.psi.data, dtype=complex),
+                         w * (1j * kb + 2.0 * f.vk * kv / f.den), f, rho.mass)
+    z[0] -= w * kv
+    return PhaseState(SpinorField(f.grid, z, FOURIER), Zk.q - c @ f.q_parts,
+                      Zk.p - c @ f.p_parts)

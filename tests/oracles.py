@@ -1,8 +1,8 @@
 """Independent oracles for the tests, kept apart from the package's hot
 path: a position-space soliton by Green-kernel quadrature, a Monte-Carlo
 Gaussian integral, the dense alpha.k product, the grid-consistency form
-of the stationary residual, the real pair by the FFT round trip, and the
-allocating transforms."""
+of the stationary residual, the real pair by the FFT round trip, the
+allocating transforms, and the Omega rows against a full tangent basis."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from dirac_soliton.field_grid import FOURIER, POSITION, GridSpec, SpinorField
-from dirac_soliton.soliton_manifold import (_stationary_residual,
+from dirac_soliton.soliton_manifold import (TangentBasis,
+                                            _stationary_residual,
                                             soliton_field_hat)
 from dirac_soliton.spinor_algebra import (ChargeDensity, DiracMatrices,
                                           build_dirac_matrices)
@@ -151,3 +152,24 @@ def to_fourier_allocating(psi: SpinorField) -> np.ndarray:
     g = psi.grid
     amp = (2.0 * np.pi) ** -1.5 * g.h**3 * g.N**3
     return amp * g._center_phase * np.fft.ifftn(psi.data, axes=(1, 2, 3))
+
+
+def pairings(tb: TangentBasis, psi_hat: np.ndarray):
+    """sum conj(Y).psi_v and sum conj(Y).B over the spinor index, for Y
+    given by raw k-space field data in the comoving frame of the basis,
+    from the basis's two (4, N, N, N) spinor fields."""
+    y = psi_hat.conj()
+    return np.sum(y * tb.soliton_hat, axis=0), np.sum(y * tb.boost_hat, axis=0)
+
+
+def omega_rows(tb: TangentBasis, psi_hat: np.ndarray, q: np.ndarray,
+               p: np.ndarray) -> np.ndarray:
+    """Omega(Y, tau_j) for all six j against the tangent basis; Y given by
+    raw k-space field data plus (q, p), the field taken in the comoving
+    frame of the basis (for tau_j translated to b, pass e^{-ik.b} times the
+    lab-frame field). The field parts are Re sum k_j conj(Y).psi_v
+    (translations) and Im sum k_j conj(Y).B (boosts)."""
+    sP, sB = pairings(tb, psi_hat)
+    g = tb.grid
+    field_part = np.concatenate([g.k_moments(sP).real, g.k_moments(sB).imag])
+    return field_part + tb.p_parts @ q - tb.q_parts @ p

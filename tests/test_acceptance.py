@@ -244,7 +244,7 @@ def test_criterion_08_orthogonality_equivalence():
     min_tangent = np.inf
     for j in range(6):
         tau = tb.phase_state(j)
-        chk = orthogonality_check(tau, v, RHO, tb=tb)
+        chk = orthogonality_check(tau, v, RHO)
         min_tangent = min(min_tangent, chk.max_residual())
 
     ok = worst_scaled <= 1e-6 and min_tangent > 1e-2

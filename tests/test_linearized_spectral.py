@@ -674,10 +674,9 @@ def test_orthogonality_equivalence_family():
     # + Bv^{-1} Q hold identically, so both formulations agree on
     # arbitrary states, not only on orthogonal ones
     grid = GridSpec(20.0, 32)
-    tb = tangent_basis(V6, RHO, grid)
     for seed in range(20):
         Z = _random_state(grid, 300 + seed)
-        chk = orthogonality_check(Z, V6, RHO, tb=tb)
+        chk = orthogonality_check(Z, V6, RHO)
         assert chk.equivalence_gap() < 1e-8 * Z.energy_norm()
 
 
@@ -694,7 +693,7 @@ def test_orthogonality_discriminates():
     assert chk.max_residual() < 1e-6
     # a tangent direction is maximally non-orthogonal
     tb = tangent_basis(res.params.v, RHO, grid)
-    chk4 = orthogonality_check(tb.phase_state(3), res.params.v, RHO, tb=tb)
+    chk4 = orthogonality_check(tb.phase_state(3), res.params.v, RHO)
     assert chk4.max_residual() > 1e-2
 
 

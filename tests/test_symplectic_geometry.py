@@ -24,8 +24,7 @@ from dirac_soliton.symplectic_geometry import (
     ProjectionError,
     _comoving_sums,
     _jacobian_defect,
-    _omega_rows,
-    _pairings,
+    _state_pairings,
     matrix_K,
     omega,
     omega_matrix_grid,
@@ -34,7 +33,7 @@ from dirac_soliton.symplectic_geometry import (
     project_to_manifold,
     symplectic_orthogonalize,
 )
-from oracles import monte_carlo_gaussian_3d
+from oracles import monte_carlo_gaussian_3d, omega_rows, pairings
 
 RHO = ChargeDensity()
 
@@ -295,8 +294,8 @@ def test_gram_and_rows_match_the_generic_omega(N, L, v, b, seed):
     assert np.max(np.abs(M - generic)) <= 1e-13 * tau_scale**2
     assert np.array_equal(M, -M.T)
     Y = _random_state(grid, np.random.default_rng(seed))
-    rows = _omega_rows(tb, grid.phase_shift(-np.asarray(b)) * Y.psi.data,
-                       Y.q, Y.p)
+    rows = omega_rows(tb, grid.phase_shift(-np.asarray(b)) * Y.psi.data,
+                      Y.q, Y.p)
     generic_rows = [omega(Y, tb.phase_state(j, b)) for j in range(6)]
     assert (np.max(np.abs(rows - generic_rows))
             <= 1e-13 * Y.energy_norm() * tau_scale)
@@ -310,7 +309,7 @@ def test_projection_of_soliton_plus_orthogonal_data_returns_sigma(b, v, amp,
     grid = GridSpec(20.0, 16)
     sigma = SolitonParams(b, v)
     raw = _random_state(grid, np.random.default_rng(seed), amp=amp)
-    W = symplectic_orthogonalize(raw, tangent_basis(v, RHO, grid), b)
+    W = symplectic_orthogonalize(raw, v, RHO, b)
     res = project_to_manifold(soliton_state(sigma, RHO, grid) + W, RHO,
                               sigma_guess=sigma)
     assert res.iterations == 0
@@ -329,8 +328,7 @@ def test_projection_exact_on_orthogonal_perturbation():
                         spinor=rng.standard_normal(4) + 1j * rng.standard_normal(4),
                         amplitude=0.5).to_fourier(),
         np.array([0.3, 0.0, -0.2]), np.array([0.1, -0.05, 0.0]))
-    tb = tangent_basis(_V_OBLIQUE, RHO, grid)
-    W = symplectic_orthogonalize(raw, tb, b=_B_REF)
+    W = symplectic_orthogonalize(raw, _V_OBLIQUE, RHO, b=_B_REF)
     res = project_to_manifold(Y + W, RHO,
                               sigma_guess=SolitonParams(_B_REF, _V_OBLIQUE))
     assert res.iterations == 0
@@ -386,18 +384,23 @@ def test_projection_fails_far_from_manifold():
 
 
 def test_orthogonalize_zeroes_all_rows():
+    # rows against the full tangent basis, at the origin and translated to
+    # a nonzero b, with the oblique v
     grid = _grid()
     rng = np.random.default_rng(23)
     Z = _random_state(grid, rng, amp=0.3)
     tb = tangent_basis(_V_OBLIQUE, RHO, grid)
-    Zo = symplectic_orthogonalize(Z, tb)
-    rows = _omega_rows(tb, Zo.psi.data, Zo.q, Zo.p)
-    assert np.max(np.abs(rows)) < 1e-12
-    # idempotent: a second pass changes nothing
-    Zoo = symplectic_orthogonalize(Zo, tb)
-    assert np.max(np.abs(Zoo.psi.data - Zo.psi.data)) < 1e-13
-    assert np.max(np.abs(Zoo.q - Zo.q)) < 1e-13
-    assert np.max(np.abs(Zoo.p - Zo.p)) < 1e-13
+    for b in (None, _B_REF):
+        Zo = symplectic_orthogonalize(Z, _V_OBLIQUE, RHO, b)
+        comoving = (Zo.psi.data if b is None
+                    else grid.phase_shift(-b) * Zo.psi.data)
+        rows = omega_rows(tb, comoving, Zo.q, Zo.p)
+        assert np.max(np.abs(rows)) < 1e-12
+        # idempotent: a second pass changes nothing
+        Zoo = symplectic_orthogonalize(Zo, _V_OBLIQUE, RHO, b)
+        assert np.max(np.abs(Zoo.psi.data - Zo.psi.data)) < 1e-13
+        assert np.max(np.abs(Zoo.q - Zo.q)) < 1e-13
+        assert np.max(np.abs(Zoo.p - Zo.p)) < 1e-13
 
 
 def _perturbed(grid, b, v, rng, amplitude=0.05):
@@ -429,11 +432,8 @@ def test_projection_jacobian_matches_central_difference(N, v, b, seed):
         return np.array([omega(Z, tb.phase_state(j, params.b))
                          for j in range(6)])
 
-    tb = tangent_basis(sigma[3:], RHO, grid)
-    sums = _pairings(tb, grid.phase_shift(-sigma[:3]) * Y.psi.data
-                     - tb.soliton_hat)
-    J = (_jacobian_defect(tb, sums, Y.q - sigma[:3], RHO.mass)
-         - omega_matrix_grid(tb).T)
+    _, (frame, sums, _) = _comoving_sums(Y, RHO)(sigma[:3], sigma[3:])
+    J = _jacobian_defect(frame, sums, Y.q - sigma[:3]) - frame.gram.T
     h = 1e-6
     fd = np.column_stack([(residual(sigma + h * e) - residual(sigma - h * e))
                           / (2.0 * h) for e in np.eye(6)])
@@ -476,20 +476,25 @@ def test_projection_refuses_a_root_not_continued_from_the_manifold():
 @given(N=st.sampled_from([8, 16]), L=st.floats(10.0, 40.0), v=_VELOCITIES,
        b=_OFFSETS, seed=st.integers(0, 2**16))
 def test_comoving_sums_match_the_tangent_basis(N, L, v, b, seed):
-    # a projection trial's scalar sums, Gram matrix and rows against the
-    # pairings of the full tangent basis with the translated defect
+    # a projection trial's scalar sums, Gram matrix and rows, and the
+    # state's soliton-free pairings, against the pairings of the full
+    # tangent basis with the translated state and defect
     grid = GridSpec(L, N)
     Y = _random_state(grid, np.random.default_rng(seed))
     b, v = np.asarray(b), np.asarray(v)
-    rows, frame = _comoving_sums(Y, RHO)(b, v)
+    rows, (frame, sums, _) = _comoving_sums(Y, RHO)(b, v)
     tb = tangent_basis(v, RHO, grid)
-    dpsi = grid.phase_shift(-b) * Y.psi.data - tb.soliton_hat
-    for got, want in zip(frame.sums, _pairings(tb, dpsi)):
+    comoving = grid.phase_shift(-b) * Y.psi.data
+    dpsi = comoving - tb.soliton_hat
+    for got, want in zip(sums, pairings(tb, dpsi)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for got, want in zip(_state_pairings(Y, RHO)(b, v)[2],
+                         pairings(tb, comoving)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     M = omega_matrix_grid(tb)
     assert np.max(np.abs(frame.gram - M)) <= 1e-13 * np.max(np.abs(M))
     assert np.array_equal(frame.gram, -frame.gram.T)
-    want = _omega_rows(tb, dpsi, Y.q - b, Y.p - SolitonParams(b, v).p_v)
+    want = omega_rows(tb, dpsi, Y.q - b, Y.p - SolitonParams(b, v).p_v)
     assert np.max(np.abs(rows - want)) <= 1e-13 * np.max(np.abs(want))
 
 
