@@ -2,12 +2,13 @@
 
 One tolerance policy for every closed-form k-integral in the package:
 absolute target 1e-8, with a reported error estimate obtained from grid
-refinement (3D) or panel doubling (1D). The 1D estimate costs a second,
-coarse pass (Gauss-Legendre panels do not nest), so it is computed only
-for callers that read QuadResult.error. Integrands here all carry the
-Gaussian factor of the Wiener function, so the tensor-product trapezoid
-rule on [-k_max, k_max]^3 converges spectrally once the box covers the
-Gaussian support.
+refinement (3D, one k1 slab at a time, never the whole grid) or panel
+doubling (1D). The 1D estimate costs a second, coarse pass (Gauss-Legendre
+panels do not nest), so it is computed only for callers that read
+QuadResult.error. Integrands here all carry the Gaussian factor of the
+Wiener function, so the tensor-product trapezoid rule on
+[-k_max, k_max]^3 converges spectrally once the box covers the Gaussian
+support.
 """
 
 from __future__ import annotations
@@ -40,20 +41,19 @@ class QuadResult:
         return self.error <= tol
 
 
-def _trap_nodes(kmax: float, n: int):
-    nodes = np.linspace(-kmax, kmax, n + 1)
+def _trap_weights(kmax: float, n: int) -> np.ndarray:
     w = np.full(n + 1, 2.0 * kmax / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return nodes, w
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def tensor_trapezoid_3d(f, kmax: float, n: int = 96) -> QuadResult:
     """Integrate f over [-kmax, kmax]^3 with an (n+1)^3 tensor trapezoid.
 
-    f receives broadcastable axis arrays (k1, k2, k3) of shapes
-    (n+1,1,1), (1,n+1,1), (1,1,n+1) and must return the integrand with
-    those trailing dimensions (leading stack dimensions allowed).
+    f is called once per k1 node, on broadcastable axis arrays (k1, k2, k3)
+    of shapes (1,1,1), (1,n+1,1), (1,1,n+1), and must return the integrand
+    on that slab with trailing dimensions (1, n+1, n+1) (leading stack
+    dimensions allowed); each slab is reduced as soon as it is made.
 
     The error estimate uses the two embedded coarser grids (n/2, n/4):
     with differences d1 = |I_n - I_{n/2}| and d2 = |I_{n/2} - I_{n/4}|,
@@ -63,22 +63,17 @@ def tensor_trapezoid_3d(f, kmax: float, n: int = 96) -> QuadResult:
     """
     if n % 4 != 0:
         raise ValueError("n must be divisible by 4 for the error estimate")
-    nodes, w = _trap_nodes(kmax, n)
-    k1 = nodes[:, None, None]
-    k2 = nodes[None, :, None]
-    k3 = nodes[None, None, :]
-    vals = f(k1, k2, k3)
-    w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
-    fine = np.sum(vals * w3, axis=(-3, -2, -1))
-
-    def embedded(step):
-        _, wc = _trap_nodes(kmax, n // step)
-        sl = slice(None, None, step)
-        w3c = wc[:, None, None] * wc[None, :, None] * wc[None, None, :]
-        return np.sum(vals[..., sl, sl, sl] * w3c, axis=(-3, -2, -1))
-
-    half = embedded(2)
-    quarter = embedded(4)
+    nodes = np.linspace(-kmax, kmax, n + 1)
+    levels = [(s, _trap_weights(kmax, n // s)) for s in (1, 2, 4)]
+    sums = [0.0, 0.0, 0.0]
+    for a in range(n + 1):
+        vals = f(nodes[a:a + 1, None, None], nodes[None, :, None],
+                 nodes[None, None, :])[..., 0, :, :]
+        for i, (s, w) in enumerate(levels):
+            if a % s == 0:
+                # .sum, not a second @: an entry rounds alike in any stack
+                sums[i] += w[a // s] * ((vals[..., ::s, ::s] @ w) * w).sum(-1)
+    fine, half, quarter = sums
     d1 = float(np.max(np.abs(fine - half)))
     d2 = float(np.max(np.abs(half - quarter)))
     err = d1 if d2 == 0.0 else d1 * min(1.0, d1 / d2)
@@ -87,17 +82,22 @@ def tensor_trapezoid_3d(f, kmax: float, n: int = 96) -> QuadResult:
 
 def k_outer_trapezoid_3d(core, kmax: float, n: int) -> QuadResult:
     """The 3x3 integral of k_i k_j core(k1, k2, k3) over [-kmax, kmax]^3
-    by tensor_trapezoid_3d. The integrand fills one preallocated
-    (3, 3, n+1, n+1, n+1) array, entry by entry, as (k_i k_j) core."""
+    by tensor_trapezoid_3d. A slab's integrand holds the six entries i <= j
+    as (k_i k_j) core, mirrored after integration: bit for bit the nine,
+    since k_i k_j c = k_j k_i c."""
+    upper = np.triu_indices(3)
 
     def integrand(*ks):
         c = core(*ks)
-        out = np.empty((3, 3) + c.shape)
-        for i, j in np.ndindex(3, 3):
-            out[i, j] = ks[i] * ks[j] * c
+        out = np.empty((6,) + c.shape)
+        for e, (i, j) in enumerate(zip(*upper)):
+            out[e] = ks[i] * ks[j] * c
         return out
 
-    return tensor_trapezoid_3d(integrand, kmax, n)
+    res = tensor_trapezoid_3d(integrand, kmax, n)
+    value = np.empty((3, 3))
+    value[upper] = value.T[upper] = res.value
+    return QuadResult(value, res.error)
 
 
 def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,

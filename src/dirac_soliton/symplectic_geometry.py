@@ -44,21 +44,22 @@ def omega(Y1: PhaseState, Y2: PhaseState) -> float:
     return field_part + float(Y1.q @ Y2.p - Y1.p @ Y2.q)
 
 
-# the tangent space at velocity v in scalar k-grid fields: vk = v.k, den = D
-# and r = rho_hat / D, so psi_v_hat = r (vk - m, 0, k_3, k_1 + i k_2) and
-# B = (rho_hat e_0 + 2 vk psi_v_hat) / D; cP and cB are the spinor sums
-# |psi_v_hat|^2 and conj(psi_v_hat).B, gram is Omega(tau_l, tau_j)
-_Frame = namedtuple("_Frame", "grid v q_parts p_parts vk den r cP cB gram")
+# the tangent space at velocity v in scalar k-grid fields: vk = v.k,
+# vkm = v.k - m, den = D and r = rho_hat / D, so psi_v_hat = r (vkm, 0, k_3,
+# k_1 + i k_2) and B = (rho_hat e_0 + 2 vk psi_v_hat) / D; cP and cB are the
+# spinor sums |psi_v_hat|^2 and conj(psi_v_hat).B, gram is Omega(tau_l, tau_j)
+_Frame = namedtuple("_Frame", "grid v q_parts p_parts vk vkm den r cP cB gram")
 
 
 def _frame(v, rho_hat: np.ndarray, grid: GridSpec, m: float) -> _Frame:
     vk = grid.k_dot(v)
+    vkm = vk - m
     den = grid.k2 + m * m - vk**2
     r = rho_hat / den
-    cP = r**2 * ((vk - m)**2 + grid.k2)
-    cB = ((vk - m) * r * rho_hat + 2.0 * vk * cP) / den
+    cP = r**2 * (vkm**2 + grid.k2)
+    cB = (vkm * r * rho_hat + 2.0 * vk * cP) / den
     parts = _particle_parts(v)
-    return _Frame(grid, v, *parts, vk, den, r, cP, cB,
+    return _Frame(grid, v, *parts, vk, vkm, den, r, cP, cB,
                   _gram(k_second_moments(cB, grid), *parts))
 
 
@@ -106,7 +107,7 @@ def _state_pairings(Yk: PhaseState, rho: ChargeDensity):
 
     def at(b, v):
         f = _frame(v, rho_hat, grid, m)
-        aP = (u0 * (f.vk - m) + u1) * f.r
+        aP = (u0 * f.vkm + u1) * f.r
         aB = (u0 * rho_hat + 2.0 * f.vk * aP) / f.den
         e = np.exp(1j * np.multiply.outer(b, grid.k1d))
         phase = _separable_phase(e)
@@ -308,19 +309,18 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     # Z = Yk - S(sigma) from the final trial's arrays: the soliton field
     # e^{ik.b} psi_v_hat is phase r (v.k - m, 0, k_3, k_1 + i k_2)
     z = _subtract_spinor(np.array(Yk.psi.data, dtype=complex),
-                         _separable_phase(e) * frame.r, frame, rho.mass)
+                         _separable_phase(e) * frame.r, frame)
     Z = PhaseState(SpinorField(Yk.grid, z, FOURIER), Yk.q - b,
                    Yk.p - params.p_v)
     return ProjectionResult(params=params, Z=Z, residuals=r, iterations=it,
                             converged=converged)
 
 
-def _subtract_spinor(z: np.ndarray, w: np.ndarray, frame: _Frame,
-                     m: float) -> np.ndarray:
+def _subtract_spinor(z: np.ndarray, w: np.ndarray, f: _Frame) -> np.ndarray:
     """z -= w (v.k - m, 0, k_3, k_1 + i k_2) in place and return z: w times
     the spinor shape of psi_v_hat = r (v.k - m, 0, k_3, k_1 + i k_2)."""
-    k1, k2, k3 = frame.grid.k_axes
-    z[0] -= w * (frame.vk - m)
+    k1, k2, k3 = f.grid.k_axes
+    z[0] -= w * f.vkm
     z[2] -= w * k3
     z[3] -= w * (k1 + 1j * k2)
     return z
@@ -343,7 +343,7 @@ def symplectic_orthogonalize(Z: PhaseState, v, rho: ChargeDensity,
     kb, kv = f.grid.k_dot(c[:3]), f.grid.k_dot(c[3:])
     w = _separable_phase(e) * f.r
     z = _subtract_spinor(np.array(Zk.psi.data, dtype=complex),
-                         w * (1j * kb + 2.0 * f.vk * kv / f.den), f, rho.mass)
+                         w * (1j * kb + 2.0 * f.vk * kv / f.den), f)
     z[0] -= w * kv
     return PhaseState(SpinorField(f.grid, z, FOURIER), Zk.q - c @ f.q_parts,
                       Zk.p - c @ f.p_parts)

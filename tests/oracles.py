@@ -2,7 +2,8 @@
 path: a position-space soliton by Green-kernel quadrature, a Monte-Carlo
 Gaussian integral, the dense alpha.k product, the grid-consistency form
 of the stationary residual, the real pair by the FFT round trip, the
-allocating transforms, and the Omega rows against a full tangent basis."""
+allocating transforms, the Omega rows against a full tangent basis, and
+the tensor trapezoid on the whole grid at once."""
 
 from __future__ import annotations
 
@@ -127,6 +128,28 @@ def monte_carlo_gaussian_3d(rest, sigma: float, n_samples: int,
     est = np.mean(vals, axis=-1)
     stderr = np.std(vals, axis=-1, ddof=1) / np.sqrt(n_samples)
     return est, stderr
+
+
+def dense_trapezoid_3d(f, kmax: float, n: int) -> tuple[np.ndarray, float]:
+    """The (n+1)^3 tensor trapezoid on [-kmax, kmax]^3 evaluated all at
+    once: f on the full grid, N^3 weight arrays, and the embedded-grid error
+    estimate d1 * min(1, d1 / d2) of quadrature.tensor_trapezoid_3d.
+    Returns (value, error)."""
+
+    def weights(m):
+        w = np.full(m + 1, 2.0 * kmax / m)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w[:, None, None] * w[None, :, None] * w[None, None, :]
+
+    nodes = np.linspace(-kmax, kmax, n + 1)
+    vals = f(nodes[:, None, None], nodes[None, :, None], nodes[None, None, :])
+    fine, half, quarter = (
+        np.sum(vals[..., ::s, ::s, ::s] * weights(n // s), axis=(-3, -2, -1))
+        for s in (1, 2, 4))
+    d1 = float(np.max(np.abs(fine - half)))
+    d2 = float(np.max(np.abs(half - quarter)))
+    return fine, (d1 if d2 == 0.0 else d1 * min(1.0, d1 / d2))
 
 
 def real_pair_hat_fft(psi: SpinorField) -> tuple[np.ndarray, np.ndarray]:

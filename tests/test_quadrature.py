@@ -1,13 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirac_soliton import linearized_spectral, symplectic_geometry
+from dirac_soliton.linearized_spectral import matrix_L
 from dirac_soliton.quadrature import (
     ABS_TOL_TARGET,
     gauss_panels_1d,
+    k_outer_trapezoid_3d,
     tensor_trapezoid_3d,
 )
-from oracles import monte_carlo_gaussian_3d
+from dirac_soliton.spinor_algebra import ChargeDensity
+from dirac_soliton.symplectic_geometry import matrix_K
+from oracles import dense_trapezoid_3d, monte_carlo_gaussian_3d
+
+RHO = ChargeDensity()
+
+
+def _stacked_gaussian(k1, k2, k3):
+    g = np.exp(-(k1**2 + k2**2 + k3**2))
+    shape = np.broadcast_shapes(k1.shape, k2.shape, k3.shape)
+    out = np.empty((2,) + shape)
+    out[0] = g
+    out[1] = k1**2 * g
+    return out
 
 
 def test_trapezoid_gaussian_exact_value():
@@ -20,15 +38,7 @@ def test_trapezoid_gaussian_exact_value():
 
 
 def test_trapezoid_stacked_output():
-    def f(k1, k2, k3):
-        g = np.exp(-(k1**2 + k2**2 + k3**2))
-        shape = np.broadcast_shapes(k1.shape, k2.shape, k3.shape)
-        out = np.empty((2,) + shape)
-        out[0] = g
-        out[1] = k1**2 * g
-        return out
-
-    res = tensor_trapezoid_3d(f, kmax=8.0, n=64)
+    res = tensor_trapezoid_3d(_stacked_gaussian, kmax=8.0, n=64)
     assert res.value.shape == (2,)
     assert abs(res.value[0] - np.pi**1.5) < 1e-10
     # second moment of the unit Gaussian weight: pi^{3/2} / 2
@@ -38,6 +48,84 @@ def test_trapezoid_stacked_output():
 def test_trapezoid_rejects_bad_n():
     with pytest.raises(ValueError):
         tensor_trapezoid_3d(lambda k1, k2, k3: k1 * k2 * k3, kmax=1.0, n=30)
+
+
+def _outer_core(monkeypatch, module, call):
+    """Run call() while recording the core that module hands to
+    k_outer_trapezoid_3d; returns (result, the nine-entry k_i k_j core
+    integrand, kmax, n)."""
+    seen = []
+
+    def record(core, kmax, n):
+        seen.append((core, kmax, n))
+        return k_outer_trapezoid_3d(core, kmax, n)
+
+    monkeypatch.setattr(module, "k_outer_trapezoid_3d", record)
+    res = call()
+    (core, kmax, n), = seen
+
+    def outer(*ks):
+        c = core(*ks)
+        return np.array([[ki * kj * c for kj in ks] for ki in ks])
+    return res, outer, kmax, n
+
+
+def _assert_matches_dense(res, f, kmax, n):
+    value, error = dense_trapezoid_3d(f, kmax, n)
+    assert res.value.shape == value.shape
+    assert np.max(np.abs(res.value - value)) <= 2e-15 * np.max(np.abs(value))
+    assert abs(res.error - error) <= 1e-3 * error
+
+
+def test_slab_trapezoid_matches_the_dense_route_on_a_stack():
+    # at n = 16 the embedded grids (spacing 2 and 4) still err well above
+    # rounding, so the two routes' error estimates are comparable
+    _assert_matches_dense(tensor_trapezoid_3d(_stacked_gaussian, 8.0, 16),
+                          _stacked_gaussian, 8.0, 16)
+
+
+@pytest.mark.parametrize("module, call", [
+    (symplectic_geometry, lambda: matrix_K(np.array([0.3, -0.2, 0.4]), RHO)),
+    (linearized_spectral, lambda: matrix_L(np.array([0.6, 0.0, 0.0]), RHO)),
+], ids=["K", "L"])
+def test_slab_trapezoid_matches_the_dense_route_on_k_and_l(monkeypatch,
+                                                           module, call):
+    _assert_matches_dense(*_outer_core(monkeypatch, module, call))
+
+
+def test_k_outer_is_the_nine_entry_stack_mirrored_bit_for_bit():
+    v = np.array([0.3, -0.2, 0.4])
+
+    def core(k1, k2, k3):
+        return np.exp(-(k1**2 + k2**2 + k3**2)) / (
+            2.0 + (v[0] * k1 + v[1] * k2 + v[2] * k3) ** 2)
+
+    def nine(*ks):
+        c = core(*ks)
+        out = np.empty((3, 3) + c.shape)
+        for i, j in np.ndindex(3, 3):
+            out[i, j] = ks[i] * ks[j] * c
+        return out
+
+    half = k_outer_trapezoid_3d(core, 8.0, 48)
+    full = tensor_trapezoid_3d(nine, 8.0, 48)
+    assert np.array_equal(half.value, full.value)
+    assert np.array_equal(half.value, half.value.T)
+    assert half.error == full.error
+
+
+def test_trapezoid_holds_one_slab_not_the_grid():
+    # one float64 field on the 97^3 grid is 7.3 MB; the whole-grid route
+    # peaked near 139 MB on this call
+    v = np.array([0.3, -0.2, 0.4])
+    matrix_K(v, RHO)
+    tracemalloc.start()
+    try:
+        matrix_K(v, RHO, n=96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_gauss_panels_gaussian_tail():
