@@ -165,18 +165,33 @@ def apply_A(op: LinearizedOperator, Z: PhaseState) -> PhaseState:
 # ---------------------------------------------------------------------------
 
 def _scaled_e1(z: np.ndarray) -> np.ndarray:
-    """e^z E_1(z) on the principal branch, stable for large |z|.
+    """e^z E_1(z), stable for large |z|: real in, real out.
 
-    For |z| < 30 the direct product is safe (|e^z| <= e^30). Beyond that
-    the asymptotic expansion e^z E_1(z) ~ (1/z) sum (-1)^n n! z^{-n} is
-    used; truncated at n = 25 its error at |z| = 30 is below 1e-13, and
-    the exponentially small cut discontinuity it ignores for Re z < 0 is
-    of order e^{Re z} < e^{-30}.
+    A complex z is taken on the principal branch. For |z| < 30 the direct
+    product e^z E_1(z) is safe (|e^z| <= e^30); beyond that the asymptotic
+    expansion e^z E_1(z) ~ (1/z) sum (-1)^n n! z^{-n} is used. Truncated
+    at n = 25 its error at |z| = 30 is about 1e-12, and the exponentially
+    small cut discontinuity it ignores for Re z < 0 is of order
+    e^{Re z} < e^{-30}.
+
+    A real z stays in real arithmetic, with scipy's real E_1 and Ei: for
+    z >= 0 the product e^z E_1(z), for z < 0 the principal value
+    -e^z Ei(-z) (the real part of the boundary value on the cut). These
+    products are accurate to about 2e-15 up to |z| = 40, where scipy's Ei
+    starts to lose digits; the series takes over there, with a truncation
+    error 26!/|z|^26 below 1e-15.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.atleast_1d(np.asarray(z))
+    z = z.astype(np.result_type(z, np.float64), copy=False)
+    real = z.dtype.kind == "f"
     out = np.empty_like(z)
-    small = np.abs(z) < 30.0
-    if np.any(small):
+    small = np.abs(z) < (40.0 if real else 30.0)
+    if real:
+        pos, neg = small & (z >= 0.0), small & (z < 0.0)
+        zp, zn = z[pos], z[neg]
+        out[pos] = np.exp(zp) * exp1(zp)
+        out[neg] = -np.exp(zn) * expi(-zn)
+    elif np.any(small):
         zs = z[small]
         out[small] = np.exp(zs) * exp1(zs)
     if np.any(~small):
@@ -210,6 +225,12 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
         H_22 = H_33 = (pi C / 2) int e^{-sigma^2 k_1^2} I_1(c) dk_1,
         I_0 = e^{sigma^2 c} E_1(sigma^2 c),   I_1 = 1/sigma^2 - c I_0.
 
+    On the imaginary axis, lambda = i w, c = k_1^2 + m^2 - (|v| k_1 + w)^2
+    is real, so I_0 and I_1 are formed in real arithmetic with the real
+    E_1: below the cut (|w| < mu) c > 0 and the integrand is real, and on
+    the cut only the -i pi term below is imaginary. Off the axis c is
+    complex. The value is complex128 on every branch.
+
     On the cut, lambda = i w with |w| >= mu, the integrand is its limit
     from Re lambda > 0 (Sokhotski-Plemelj). There c is real, factored as
     c = (1 - v^2)(k_1 - k_-)(k_1 - k_+) with the cut endpoints k_-+ so
@@ -228,16 +249,15 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
         if on_cut:
             c = (1.0 - speed * speed) * (k1 - ends[0]) * (k1 - ends[1])
             x = s2 * c
-            # below x = -30 e^x Ei(-x) overflows; _scaled_e1 is asymptotic
-            mid = (x < 0.0) & (x > -30.0)
-            i0 = np.empty(x.shape, dtype=complex)
-            i0[~mid] = _scaled_e1(x[~mid])
-            i0[mid] = -np.exp(x[mid]) * expi(-x[mid])
+            i0 = _scaled_e1(x).astype(complex)   # -e^x Ei(-x) where x < 0
             neg = x < 0.0
             i0[neg] -= 1j * np.pi * np.exp(x[neg]) * np.sign(
                 speed * k1[neg] + b)
         else:
-            c = k1**2 + m * m - (speed * k1 - 1j * lam) ** 2
+            if lam.real == 0.0:
+                c = k1**2 + m * m - (speed * k1 + b) ** 2
+            else:
+                c = k1**2 + m * m - (speed * k1 - 1j * lam) ** 2
             i0 = _scaled_e1(s2 * c)
         i1 = 1.0 / s2 - c * i0
         gauss = np.exp(-s2 * k1**2)
@@ -260,8 +280,8 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
     res = gauss_panels_1d(integrand, -kmax, kmax, breakpoints=breaks,
                           order=H_QUAD_ORDER,
                           panels_per_interval=H_QUAD_PANELS)
-    h11, h22 = res.value
-    return QuadResult(np.diag([h11, h22, h22]), lambda: res.error)
+    return QuadResult(np.diag(res.value[[0, 1, 1]].astype(complex)),
+                      lambda: res.error)
 
 
 def matrix_L(v, rho: ChargeDensity) -> QuadResult:

@@ -107,9 +107,10 @@ def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
     there). f must accept a 1D node array and may return a stack with the
     node axis last. The value uses 2 * panels_per_interval panels per
     interval; the error estimate, its gap to panels_per_interval panels,
-    runs only when .error is read.
+    runs only when .error is read. A repeated breakpoint counts once, so
+    no empty interval puts nodes onto a singularity.
     """
-    pts = [a] + sorted(float(x) for x in breakpoints if a < x < b) + [b]
+    pts = [a] + sorted({float(x) for x in breakpoints if a < x < b}) + [b]
     fine = _panel_sum(f, pts, order, 2 * panels_per_interval)
     return QuadResult(fine, lambda: np.max(np.abs(
         fine - _panel_sum(f, pts, order, panels_per_interval))))

@@ -113,6 +113,27 @@ def test_scaled_e1_plemelj_limit():
         assert abs(above - lim) < 1e-10
 
 
+def _mp_scaled_e1(x):
+    """e^x E_1(x) for x > 0 and the principal value -e^x Ei(-x) for x < 0,
+    from mpmath at 30 digits."""
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        return float(mp.exp(x) * (mp.e1(x) if x > 0 else -mp.ei(-x)))
+
+
+def test_scaled_e1_real_route_matches_mpmath():
+    # a float64 input stays float64: the direct products below |x| = 40,
+    # the asymptotic series beyond (the complex route is 4e-13 off near
+    # x = 4.6 and 9e-13 at x = 30)
+    xs = np.concatenate([np.geomspace(1e-6, 29.9, 120),
+                         [30.0, 35.0, 39.9, 40.2, 80.0],
+                         [-3.0, -12.0, -25.0, -35.0, -39.9, -40.2, -80.0]])
+    out = _scaled_e1(xs)
+    assert out.dtype == np.float64
+    ref = np.array([_mp_scaled_e1(x) for x in xs])
+    assert np.max(np.abs(out - ref) / np.abs(ref)) <= 5e-15
+
+
 # ---------------------------------------------------------------------------
 # the static matrix L and the dispersive matrix H
 # ---------------------------------------------------------------------------
@@ -185,20 +206,60 @@ def test_matrix_h_on_axis_below_cut():
     assert np.max(np.abs(res.value.imag)) == 0.0
 
 
+def test_h_is_complex128_on_every_branch():
+    # lambda = 0, below the cut, on the cut and Re lambda > 0
+    for lam in (0j, 0.3j, 1.2j, 0.5 + 0.2j):
+        value = linearized_spectral._h_frame(lam, 0.6, RHO).value
+        assert value.dtype == np.complex128
+    for om in (0.0, 0.3, 1.2):
+        assert matrix_H_on_axis(om, 0.6, RHO).value.dtype == np.complex128
+    for lam in (0.0, 0.3j, 0.5 + 0.2j):
+        assert matrix_H(lam, 0.6, RHO).value.dtype == np.complex128
+
+
+def test_axis_quadratures_call_only_the_real_exp1(monkeypatch):
+    dtypes = []
+    inner = linearized_spectral.exp1
+
+    def recording(x):
+        dtypes.append(np.asarray(x).dtype)
+        return inner(x)
+
+    monkeypatch.setattr(linearized_spectral, "exp1", recording)
+    mats = spectral_matrices(V6, RHO)
+    for om in (0.3, 0.81, 1.2, -2.0):
+        matrix_H_on_axis(om, 0.6, RHO)
+    f_jj_checks(mats)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    dtypes.clear()
+    matrix_H(0.5 + 0.2j, 0.6, RHO)
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
+
+
 def _mpmath_oracle(omega_, speed, dps=20):
     """H(i w + 0) from mpmath's tanh-sinh quadrature of the same 1-D
-    boundary integrals over the real line, split at the cut endpoints
-    k_- and k_+ (where I_0 has its log singularities), at dps digits."""
+    integrals over the real line, at dps digits. On the cut the boundary
+    integrand is split at the cut endpoints k_- and k_+ (where I_0 has its
+    log singularities); below it, c > 0 and the split is at the minimum
+    of c, k_1 = gamma^2 |v| w."""
     with mp.workdps(dps):
         m, s2 = mp.mpf(RHO.mass), mp.mpf(RHO.sigma) ** 2
         C = m * mp.mpf(RHO.amplitude) ** 2 * mp.mpf(RHO.sigma) ** 6
         w, v = mp.mpf(omega_), mp.mpf(speed)
         g2 = 1 / (1 - v * v)
-        root = mp.sqrt(w * w - m * m / g2)
-        lo, hi = g2 * (v * w - root), g2 * (v * w + root)
+        if w * w < m * m / g2:
+            def c_of(k):
+                return k * k + m * m - (v * k + w) ** 2
 
-        def c_of(k):
-            return (1 - v * v) * (k - lo) * (k - hi)
+            pts = [-mp.inf, g2 * v * w, mp.inf]
+        else:
+            root = mp.sqrt(w * w - m * m / g2)
+            lo, hi = g2 * (v * w - root), g2 * (v * w + root)
+
+            def c_of(k):
+                return (1 - v * v) * (k - lo) * (k - hi)
+
+            pts = [-mp.inf, lo, hi, mp.inf]
 
         def i0(k):
             x = s2 * c_of(k)
@@ -209,12 +270,32 @@ def _mpmath_oracle(omega_, speed, dps=20):
                                     - 1j * mp.pi * mp.sign(v * k + w))
             return mp.exp(x) * mp.e1(x)
 
-        pts = [-mp.inf, lo, hi, mp.inf]
         h11 = mp.quad(lambda k: mp.pi * C * k**2 * mp.exp(-s2 * k**2)
                       * i0(k), pts)
         h22 = mp.quad(lambda k: mp.pi * C / 2 * mp.exp(-s2 * k**2)
                       * (1 / s2 - c_of(k) * i0(k)), pts)
         return np.diag([complex(h11), complex(h22), complex(h22)])
+
+
+def test_matrix_h_below_cut_against_mpmath():
+    for speed, om in ((0.6, 0.0), (0.6, 0.3), (0.6, -0.5), (0.0, 0.5),
+                      (0.6, 0.79)):
+        ax = matrix_H_on_axis(om, speed, RHO)
+        assert np.max(np.abs(ax.value - _mpmath_oracle(om, speed))) <= 1e-13
+
+
+def test_matrix_h_at_the_branch_point_against_mpmath():
+    # at w = +-mu both cut endpoints and the split point coincide, so the
+    # breakpoints repeat; an empty interval there would put its nodes on
+    # the singularity
+    for om in (1.0, -1.0):
+        ax = matrix_H_on_axis(om, 0.0, RHO)
+        assert np.max(np.abs(ax.value - _mpmath_oracle(om, 0.0))) <= 1e-12
+    # mu = 0.8 is exact in float64 but not for the oracle's decimal inputs,
+    # and the square-root onset turns that 1e-16 into ~1e-7
+    ax = matrix_H_on_axis(0.8, 0.6, RHO)
+    assert np.all(np.isfinite(ax.value))
+    assert np.max(np.abs(ax.value - _mpmath_oracle(0.8, 0.6))) < 1e-6
 
 
 def test_matrix_h_cut_against_mpmath_near_branch_points():

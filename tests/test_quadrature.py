@@ -153,6 +153,18 @@ def test_gauss_panels_coarse_pass_runs_only_when_error_is_read():
     assert len(nodes) == 6
 
 
+def test_gauss_panels_count_a_repeated_breakpoint_once():
+    # log|x| is integrable at 0 but infinite there: an empty [0, 0]
+    # interval would put its nodes on it
+    def f(x):
+        return np.log(np.abs(x)) * np.exp(-(x**2))
+
+    once = gauss_panels_1d(f, -3.0, 3.0, breakpoints=(0.0,))
+    thrice = gauss_panels_1d(f, -3.0, 3.0, breakpoints=(0.0, 0.0, 0.0))
+    assert np.isfinite(float(thrice.value))
+    assert float(thrice.value) == float(once.value)
+
+
 @settings(derandomize=True, deadline=None)
 @given(a=st.floats(-5.0, 5.0), width=st.floats(0.1, 5.0),
        cuts=st.lists(st.floats(0.01, 0.99), max_size=4),
