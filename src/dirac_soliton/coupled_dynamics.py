@@ -205,12 +205,17 @@ def is_whole_multiple(t: float, dt: float) -> bool:
     return abs(n - round(n)) <= 1e-9 * n
 
 
+def sample_stride(dt: float, sample_every: float) -> int:
+    """The sample interval in whole steps, rounded, at least one."""
+    return max(1, int(round(sample_every / dt)))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Integrator settings. t_final must be a whole multiple of dt. The
-    sample clock is not: sample_every is rounded to the nearest whole
-    number of steps (at least one), and each sample's actual time is
-    recorded in Trajectory.sample_times."""
+    sample clock is not: it ticks every sample_stride(dt, sample_every)
+    steps, and each sample's actual time is recorded in
+    Trajectory.sample_times."""
 
     dt: float = 0.02
     t_final: float = 10.0
@@ -238,7 +243,7 @@ def _transversal_norm(Z: PhaseState, nu: float) -> float:
 
 
 def simulate(initial: PhaseState, rho: ChargeDensity,
-             config: SimulationConfig) -> Trajectory:
+             config: SimulationConfig, on_snapshot=None) -> Trajectory:
     """Integrate to t_final recording the particle path at every step.
 
     With track_modulation the state is projected onto the solitary
@@ -248,10 +253,13 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
     interval; the first starts from config.sigma_guess. A projection
     failure is recorded and tracking stops, the integration itself
     continues. At every sample, t = 0 included, the field must be
-    finite, or IntegratorError names the sample time.
+    finite, or IntegratorError names the sample time. Every
+    field_stride-th sample, t = 0 included, stores the field in position
+    space; right after, on_snapshot(t, Y), when given, is called with the
+    Fourier-space state Y the snapshot was taken from.
     """
     n_steps = int(round(config.t_final / config.dt))
-    stride = max(1, int(round(config.sample_every / config.dt)))
+    stride = sample_stride(config.dt, config.sample_every)
     dt_s = stride * config.dt
 
     Y = initial.to_fourier()
@@ -289,6 +297,8 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
         if config.field_stride and (idx // stride) % config.field_stride == 0:
             field_times.append(t)
             fields.append(state.psi.to_position())
+            if on_snapshot is not None:
+                on_snapshot(t, state)
 
     times[0], qs[0], ps[0] = 0.0, Y.q, Y.p
     sample(0, 0.0, Y)

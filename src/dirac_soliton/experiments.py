@@ -32,6 +32,7 @@ from .coupled_dynamics import (
     Trajectory,
     extract_scattering_data,
     is_whole_multiple,
+    sample_stride,
 )
 from .coupled_dynamics import simulate as _simulate
 from .field_grid import (
@@ -200,6 +201,17 @@ def fit_power_law(times, values, window=None) -> FitResult:
     return FitResult(float(sol[0]), float(sol[1]), (lo, hi), rms)
 
 
+def _report_json(report) -> dict:
+    """A report's fields but its trajectory as JSON values: arrays become
+    lists of floats and a FitResult its dict."""
+    def value(x):
+        if isinstance(x, np.ndarray):
+            return list(map(float, x))
+        return asdict(x) if isinstance(x, FitResult) else x
+    return {f.name: value(getattr(report, f.name)) for f in fields(report)
+            if f.name != "trajectory"}
+
+
 # ---------------------------------------------------------------------------
 # Free weighted decay.
 # ---------------------------------------------------------------------------
@@ -268,32 +280,27 @@ class PersistenceReport:
 
 
 def run_soliton_persistence(config: RunConfig) -> PersistenceReport:
+    """The exact soliton under the coupled flow; at each snapshot, the
+    field error ||psi - psi_v(. - q)||_0 / ||psi(0)||_0 of simulate's state."""
     grid, rho = config.grid, config.rho
     params = SolitonParams(config.b_vec, config.v_vec)
     Y0 = soliton_state(params, rho, grid)
-    traj = _simulate(Y0, rho, simulation_config(config, sigma_guess=params))
+    ref_norm = Y0.psi.norm()
+    errors = []
 
+    def field_error(t, Y):
+        moved = soliton_state(SolitonParams(Y.q, config.v_vec), rho, grid)
+        errors.append((Y.psi - moved.psi).norm() / ref_norm)
+
+    traj = _simulate(Y0, rho, simulation_config(config, sigma_guess=params),
+                     field_error)
     drift = float(np.max(np.linalg.norm(
         traj.velocities() - config.v_vec, axis=1)))
-    ref_norm = Y0.psi.norm()
-    errors = np.empty(len(traj.fields))
-    for i, (t, snap) in enumerate(zip(traj.field_times, traj.fields)):
-        step_idx = int(round(t / config.dt))
-        moved = soliton_state(SolitonParams(traj.q[step_idx], config.v_vec),
-                              rho, grid)
-        errors[i] = (snap.to_fourier() - moved.psi).norm() / ref_norm
     max_z = float(np.max(traj.z_norms)) if traj.z_norms.size else 0.0
 
-    report = PersistenceReport(drift, traj.field_times, errors,
-                               float(np.max(errors)) if errors.size else 0.0,
-                               max_z, traj)
-    write_run_directory(config, {
-        "velocity_drift": drift,
-        "max_field_error": report.max_field_error,
-        "field_error_times": list(map(float, traj.field_times)),
-        "field_errors": list(map(float, errors)),
-        "max_z_norm": max_z,
-    }, trajectory=traj)
+    report = PersistenceReport(drift, traj.field_times, np.asarray(errors),
+                               max(errors, default=0.0), max_z, traj)
+    write_run_directory(config, _report_json(report), trajectory=traj)
     return report
 
 
@@ -342,27 +349,13 @@ class ScatteringReport:
 
     def summary(self) -> dict:
         """The JSON-ready report (report.json and the CLI output)."""
-        return {
-            "v_plus": list(map(float, self.v_plus)),
-            "a_plus": list(map(float, self.a_plus)),
-            "captured": self.captured,
-            "tracking_failed_at": self.tracking_failed_at,
-            "qdot_exponent": self.qdot_exponent,
-            "z_fit": asdict(self.z_fit) if self.z_fit is not None else None,
-            "z_fit_error": self.z_fit_error,
-            "phi_times": list(map(float, self.phi_times)),
-            "phi_cauchy": list(map(float, self.phi_cauchy)),
-            "phi_dropped": list(map(float, self.phi_dropped)),
-            "remainder": self.remainder,
-            "validity_time": self.validity_time,
-        }
+        return _report_json(self)
 
 
-def _phi_plus_estimate(psi: SpinorField, q, p, t: float,
+def _phi_plus_estimate(state: PhaseState, t: float,
                        rho: ChargeDensity) -> SpinorField | None:
-    """W_0(-t) (psi - accompanying soliton field), the time-t estimate of
-    the outgoing free field; None when the state has left the tube."""
-    state = PhaseState(psi.to_fourier(), np.asarray(q), np.asarray(p))
+    """W_0(-t) (psi - accompanying soliton field) of a Fourier-space state,
+    the time-t estimate of phi_+; None when the state has left the tube."""
     try:
         # cold start from (q, v(p)) on purpose: the benchmark's tracer
         # counts the projections made without a guess as the phi_+ ones
@@ -373,6 +366,10 @@ def _phi_plus_estimate(psi: SpinorField, q, p, t: float,
 
 
 def run_scattering(config: RunConfig) -> ScatteringReport:
+    """A perturbed soliton under the coupled flow, and its scattering data.
+    phi_+ is estimated from simulate's state at each snapshot and, unless
+    the last kept estimate is there, at T. Only the last estimate and the
+    one nearest T/2 before it (the first of a tie) are held."""
     grid, rho = config.grid, config.rho
     valid = scattering_validity_time(config)
     if config.t_final > valid:
@@ -382,7 +379,27 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
     params = SolitonParams(config.b_vec, config.v_vec)
     Y0 = perturbed_soliton(params, rho, grid, config.epsilon,
                            seed=config.seed)
-    traj = _simulate(Y0, rho, simulation_config(config, sigma_guess=params))
+    T = int(round(config.t_final / config.dt)) * config.dt  # traj.times[-1]
+    phi_times, cauchy, dropped = [], [], []
+    last = half = None      # (t, estimate)
+
+    def estimate(t, Y):
+        nonlocal last, half
+        est = _phi_plus_estimate(Y, t, rho)
+        if est is None:
+            dropped.append(t)
+            return
+        if last is not None:
+            cauchy.append((est - last[1]).norm())
+            if half is None or abs(last[0] - T / 2) < abs(half[0] - T / 2):
+                half = last
+        phi_times.append(t)
+        last = (t, est)
+
+    traj = _simulate(Y0, rho, simulation_config(config, sigma_guess=params),
+                     estimate)
+    if not phi_times or phi_times[-1] < T - 0.5 * config.dt:
+        estimate(T, traj.final_state)
 
     t_min = min(5.0, 0.4 * config.t_final)
     data = extract_scattering_data(traj, t_min=t_min)
@@ -404,59 +421,36 @@ def run_scattering(config: RunConfig) -> ScatteringReport:
         _log.log(logging.WARNING if config.window else logging.INFO,
                  "no transversal decay fit: %s", z_fit_error)
 
-    # outgoing-field estimates at the snapshot times plus the final time
-    phi_times, phis, dropped = [], [], []
-
-    def estimate(psi, q, p, t):
-        est = _phi_plus_estimate(psi, q, p, t, rho)
-        if est is None:
-            dropped.append(t)
-        else:
-            phi_times.append(t)
-            phis.append(est)
-
-    for t, snap in zip(traj.field_times, traj.fields):
-        i = int(round(t / config.dt))
-        estimate(snap, traj.q[i], traj.p[i], t)
-    T = float(traj.times[-1])
-    if not phi_times or phi_times[-1] < T - 0.5 * config.dt:
-        final = traj.final_state
-        estimate(final.psi, final.q, final.p, T)
-    cauchy = np.array([(phis[i + 1] - phis[i]).norm()
-                       for i in range(len(phis) - 1)])
-
     remainder = float("nan")
-    if phis and phi_times[-1] == T and len(phis) >= 2:
+    if half is not None and phi_times[-1] == T:
         # ||psi(T) - psi_{v+}(x - v+ T - a+) - W_0(T) phi_+^{(T/2)}||_0
         # with phi_+ taken from the snapshot nearest T/2
-        half = int(np.argmin(np.abs(np.asarray(phi_times[:-1]) - 0.5 * T)))
         asym = soliton_state(
             SolitonParams(data.v_plus * T + data.a_plus, data.v_plus),
             rho, grid)
-        outgoing = free_propagate(phis[half], T, rho.mass)
-        remainder = (traj.final_state.psi.to_fourier() - asym.psi
-                     - outgoing).norm()
+        outgoing = free_propagate(half[1], T, rho.mass)
+        remainder = (traj.final_state.psi - asym.psi - outgoing).norm()
 
     report = ScatteringReport(
         v_plus=data.v_plus, a_plus=data.a_plus, captured=captured,
         tracking_failed_at=traj.tracking_failed_at,
         qdot_exponent=data.qdot_exponent, z_fit=z_fit,
         z_fit_error=z_fit_error, phi_times=np.asarray(phi_times),
-        phi_cauchy=cauchy, remainder=remainder, trajectory=traj,
+        phi_cauchy=np.asarray(cauchy), remainder=remainder, trajectory=traj,
         validity_time=valid, phi_dropped=np.asarray(dropped))
     write_run_directory(config, report.summary(), trajectory=traj)
     return report
 
 
 def simulation_config(config: RunConfig, sigma_guess=None) -> SimulationConfig:
-    """Translate a RunConfig into integrator settings. Of the n = T /
-    sample_every samples, every stride-th one stores the field, with stride
-    = max(1, n // snapshots); a run thus stores n // stride + 1 snapshots,
-    t = 0 included (snapshots = 4, T = 1 and sample_every = 0.25 store 5).
-    snapshots = 0 stores none."""
-    n_samples = int(round(config.t_final / config.sample_every))
-    stride = (max(1, n_samples // config.snapshots)
-              if config.snapshots else 0)
+    """Translate a RunConfig into integrator settings. Of the n samples
+    simulate takes after t = 0, every stride-th one stores the field, with
+    stride = max(1, n // snapshots); a run thus stores n // stride + 1
+    snapshots, t = 0 included (snapshots = 4, T = 1 and sample_every =
+    0.25 store 5). snapshots = 0 stores none."""
+    n_samples = (int(round(config.t_final / config.dt))
+                 // sample_stride(config.dt, config.sample_every))
+    stride = max(1, n_samples // config.snapshots) if config.snapshots else 0
     return SimulationConfig(dt=config.dt, t_final=config.t_final,
                             track_modulation=True,
                             sample_every=config.sample_every, nu=config.nu,

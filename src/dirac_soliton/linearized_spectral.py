@@ -165,27 +165,20 @@ def apply_A(op: LinearizedOperator, Z: PhaseState) -> PhaseState:
 # ---------------------------------------------------------------------------
 
 def _scaled_e1(z: np.ndarray) -> np.ndarray:
-    """e^z E_1(z), stable for large |z|: real in, real out.
-
-    A complex z is taken on the principal branch. For |z| < 30 the direct
-    product e^z E_1(z) is safe (|e^z| <= e^30); beyond that the asymptotic
-    expansion e^z E_1(z) ~ (1/z) sum (-1)^n n! z^{-n} is used. Truncated
-    at n = 25 its error at |z| = 30 is about 1e-12, and the exponentially
-    small cut discontinuity it ignores for Re z < 0 is of order
-    e^{Re z} < e^{-30}.
-
-    A real z stays in real arithmetic, with scipy's real E_1 and Ei: for
-    z >= 0 the product e^z E_1(z), for z < 0 the principal value
-    -e^z Ei(-z) (the real part of the boundary value on the cut). These
-    products are accurate to about 2e-15 up to |z| = 40, where scipy's Ei
-    starts to lose digits; the series takes over there, with a truncation
-    error 26!/|z|^26 below 1e-15.
+    """e^z E_1(z) on the principal branch, stable for large |z|: real in,
+    real out. Below |z| = 40 it is the direct product with scipy's E_1
+    (|e^z| <= e^40); a real z stays real there, with e^z E_1(z) for z >= 0
+    and the principal value -e^z Ei(-z) (the real part of the boundary
+    value on the cut) for z < 0. Beyond, where scipy's Ei loses digits, the
+    asymptotic expansion e^z E_1(z) ~ (1/z) sum (-1)^n n! z^{-n} truncated
+    at n = 25 errs by 26!/|z|^26 < 1e-15, and the cut discontinuity it
+    ignores for Re z < 0 is of order e^{Re z} < e^{-40}.
     """
     z = np.atleast_1d(np.asarray(z))
     z = z.astype(np.result_type(z, np.float64), copy=False)
     real = z.dtype.kind == "f"
     out = np.empty_like(z)
-    small = np.abs(z) < (40.0 if real else 30.0)
+    small = np.abs(z) < 40.0
     if real:
         pos, neg = small & (z >= 0.0), small & (z < 0.0)
         zp, zn = z[pos], z[neg]

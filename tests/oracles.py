@@ -2,20 +2,25 @@
 path: a position-space soliton by Green-kernel quadrature, a Monte-Carlo
 Gaussian integral, the dense alpha.k product, the grid-consistency form
 of the stationary residual, the real pair by the FFT round trip, the
-allocating transforms, the Omega rows against a full tangent basis, and
-the tensor trapezoid on the whole grid at once."""
+allocating transforms, the Omega rows against a full tangent basis, the
+tensor trapezoid on the whole grid at once, and the phi_+ estimates and
+persistence errors taken after a run from its position-space snapshots."""
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from dirac_soliton.field_grid import FOURIER, POSITION, GridSpec, SpinorField
-from dirac_soliton.soliton_manifold import (TangentBasis,
+from dirac_soliton.field_grid import (FOURIER, POSITION, GridSpec,
+                                      SpinorField, free_propagate)
+from dirac_soliton.phase_space import PhaseState
+from dirac_soliton.soliton_manifold import (SolitonParams, TangentBasis,
                                             _stationary_residual,
-                                            soliton_field_hat)
+                                            soliton_field_hat, soliton_state)
 from dirac_soliton.spinor_algebra import (ChargeDensity, DiracMatrices,
                                           build_dirac_matrices)
+from dirac_soliton.symplectic_geometry import (ProjectionError,
+                                               project_to_manifold)
 
 _DIRAC = build_dirac_matrices()
 
@@ -196,3 +201,55 @@ def omega_rows(tb: TangentBasis, psi_hat: np.ndarray, q: np.ndarray,
     g = tb.grid
     field_part = np.concatenate([g.k_moments(sP).real, g.k_moments(sB).imag])
     return field_part + tb.p_parts @ q - tb.q_parts @ p
+
+
+def phi_plus_from_snapshots(traj, rho: ChargeDensity, dt: float,
+                            v_plus: np.ndarray, a_plus: np.ndarray):
+    """The outgoing-field check of a scattering run taken after the run:
+    each position-space snapshot goes back to Fourier space with (q, p)
+    read from the step at its time, a cold projection gives the estimate
+    W_0(-t) Z, and the final state adds one at T unless the last kept
+    estimate is there. Every estimate is kept; the remainder
+    ||psi(T) - psi_{v+}(. - v+ T - a+) - W_0(T) phi_+||_0 takes the one
+    nearest T/2 among all but the last (np.argmin: the first of a tie).
+    Returns (times, dropped, Cauchy differences, remainder)."""
+    times, dropped, phis = [], [], []
+
+    def estimate(psi, q, p, t):
+        try:
+            res = project_to_manifold(PhaseState(psi.to_fourier(), q, p), rho)
+        except ProjectionError:
+            dropped.append(t)
+            return
+        times.append(t)
+        phis.append(free_propagate(res.Z.psi, -t, rho.mass))
+
+    for t, snap in zip(traj.field_times, traj.fields):
+        i = int(round(t / dt))
+        estimate(snap, traj.q[i], traj.p[i], t)
+    final = traj.final_state
+    T = float(traj.times[-1])
+    if not times or times[-1] < T - 0.5 * dt:
+        estimate(final.psi, final.q, final.p, T)
+    cauchy = np.array([(b - a).norm() for a, b in zip(phis, phis[1:])])
+    remainder = float("nan")
+    if len(phis) >= 2 and times[-1] == T:
+        half = int(np.argmin(np.abs(np.asarray(times[:-1]) - 0.5 * T)))
+        asym = soliton_state(SolitonParams(v_plus * T + a_plus, v_plus),
+                             rho, final.grid)
+        outgoing = free_propagate(phis[half], T, rho.mass)
+        remainder = (final.psi.to_fourier() - asym.psi - outgoing).norm()
+    return np.asarray(times), np.asarray(dropped), cauchy, remainder
+
+
+def field_errors_from_snapshots(traj, v, rho: ChargeDensity, dt: float,
+                                ref_norm: float) -> np.ndarray:
+    """||psi(t) - psi_v(. - q(t))||_0 / ref_norm at each stored snapshot,
+    the snapshot taken back to Fourier space and q(t) read from the step
+    at its time."""
+    errors = []
+    for t, snap in zip(traj.field_times, traj.fields):
+        q = traj.q[int(round(t / dt))]
+        moved = soliton_state(SolitonParams(q, v), rho, snap.grid)
+        errors.append((snap.to_fourier() - moved.psi).norm() / ref_norm)
+    return np.asarray(errors)

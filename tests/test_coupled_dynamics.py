@@ -175,6 +175,25 @@ def test_simulate_records_fields():
     assert np.all(np.isfinite(traj.fields[-1].data.real))
 
 
+def test_simulate_hands_each_snapshot_state_to_the_hook():
+    grid = GridSpec(20.0, 8)
+    Y = soliton_state(SolitonParams(np.zeros(3), np.array([0.3, 0.0, 0.0])),
+                      RHO, grid)
+    cfg = SimulationConfig(dt=0.05, t_final=1.0, sample_every=0.1,
+                           field_stride=3)
+    seen = []
+    traj = simulate(Y, RHO, cfg,
+                    on_snapshot=lambda t, state: seen.append((t, state)))
+    assert [t for t, _ in seen] == list(traj.field_times)
+    assert len(seen) == 4                # samples 0, 3, 6 and 9 of 10
+    for (t, state), snap in zip(seen, traj.fields):
+        i = int(round(t / cfg.dt))
+        assert state.psi.space == FOURIER
+        assert np.array_equal(state.psi.to_position().data, snap.data)
+        assert np.array_equal(state.q, traj.q[i])
+        assert np.array_equal(state.p, traj.p[i])
+
+
 def test_simulate_tracking_failure_is_recorded():
     grid = GridSpec(10.0, 16)
     rng = np.random.default_rng(19)

@@ -2,11 +2,14 @@
 perturbation family, and run persistence."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dirac_soliton import experiments
+from dirac_soliton.coupled_dynamics import simulate
 from dirac_soliton.experiments import (
     ConfigError,
     RunConfig,
@@ -19,11 +22,13 @@ from dirac_soliton.experiments import (
     run_scattering,
     run_soliton_persistence,
     scattering_validity_time,
+    simulation_config,
 )
 from dirac_soliton.field_grid import GridSpec
 from dirac_soliton.soliton_manifold import SolitonParams, soliton_state, tangent_basis
 from dirac_soliton.spinor_algebra import ChargeDensity
 from dirac_soliton.symplectic_geometry import ProjectionError, omega
+from oracles import field_errors_from_snapshots, phi_plus_from_snapshots
 
 RHO = ChargeDensity()
 
@@ -312,3 +317,73 @@ def test_scattering_records_dropped_phi_plus(tmp_path, monkeypatch):
     assert rep.phi_times.size == len(calls) - 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["phi_dropped"] == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# the sample pipeline: snapshot schedule, hooks against the post-hoc route
+# ---------------------------------------------------------------------------
+
+def test_snapshot_count_matches_the_samples_taken():
+    # sample_every = 0.03 rounds to 2 steps of 0.02: simulate takes 25
+    # samples after t = 0, so snapshots = 4 stores every 6th, 25 // 6 + 1
+    cfg = _tiny(kind="simulate", grid_N=8, dt=0.02, sample_every=0.03,
+                snapshots=4)
+    sim = replace(simulation_config(cfg), track_modulation=False)
+    assert sim.field_stride == 6
+    traj = simulate(initial_state(cfg)[0], RHO, sim)
+    assert np.allclose(traj.field_times, [0.0, 0.24, 0.48, 0.72, 0.96])
+
+
+def _assert_scattering_matches_post_hoc(cfg):
+    rep = run_scattering(cfg)
+    times, dropped, cauchy, remainder = phi_plus_from_snapshots(
+        rep.trajectory, RHO, cfg.dt, rep.v_plus, rep.a_plus)
+    assert np.array_equal(rep.phi_times, times)
+    assert np.array_equal(rep.phi_dropped, dropped)
+    assert rep.phi_cauchy.shape == cauchy.shape
+    assert np.max(np.abs(rep.phi_cauchy - cauchy) / cauchy) <= 1e-13
+    assert abs(rep.remainder - remainder) <= 1e-13 * remainder
+    return rep
+
+
+def test_scattering_hook_matches_post_hoc_with_t_half_between_snapshots():
+    # snapshots at 0, 0.5, 1 and 1.5: T/2 = 0.75 ties 0.5 and 1, and the
+    # first of the tie, 0.5, is the one taken
+    rep = _assert_scattering_matches_post_hoc(_scatter_config(
+        dt=0.125, sample_every=0.5, snapshots=3))
+    assert rep.phi_times.tolist() == [0.0, 0.5, 1.0, 1.5]
+
+
+def test_scattering_hook_matches_post_hoc_with_the_last_snapshot_before_t():
+    # snapshots at 0, 0.75 and 1.5, then the final-time estimate at 1.75
+    rep = _assert_scattering_matches_post_hoc(_scatter_config(
+        t_final=1.75, snapshots=2))
+    assert rep.phi_times.size == 4 and rep.phi_times[-1] == 1.75
+
+
+@pytest.mark.parametrize("kw", [{}, {"t_final": 1.25}])
+def test_persistence_hook_matches_post_hoc(kw):
+    cfg = _tiny(**kw)
+    report = run_soliton_persistence(cfg)
+    ref_norm = soliton_state(SolitonParams(cfg.b_vec, cfg.v_vec), RHO,
+                             cfg.grid).psi.norm()
+    want = field_errors_from_snapshots(report.trajectory, cfg.v_vec, RHO,
+                                       cfg.dt, ref_norm)
+    assert want.size == report.field_errors.size >= 3
+    assert np.max(np.abs(report.field_errors - want)) <= 1e-15
+
+
+def test_scattering_holds_two_phi_plus_estimates_beside_the_snapshots():
+    # 16 stored snapshots at N = 16; a second pass over them that kept
+    # every phi_+ estimate peaked at 39.2 fields, the hook at 26.1
+    cfg = _scatter_config(sample_every=0.1, snapshots=15)
+    run_scattering(cfg)                 # fill the grid and propagator caches
+    tracemalloc.start()
+    try:
+        rep = run_scattering(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = 4 * cfg.grid_N**3 * 16
+    assert len(rep.trajectory.fields) == 16
+    assert peak / field_bytes <= len(rep.trajectory.fields) + 12

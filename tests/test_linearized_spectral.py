@@ -124,13 +124,26 @@ def _mp_scaled_e1(x):
 def test_scaled_e1_real_route_matches_mpmath():
     # a float64 input stays float64: the direct products below |x| = 40,
     # the asymptotic series beyond (the complex route is 4e-13 off near
-    # x = 4.6 and 9e-13 at x = 30)
+    # x = 4.6)
     xs = np.concatenate([np.geomspace(1e-6, 29.9, 120),
                          [30.0, 35.0, 39.9, 40.2, 80.0],
                          [-3.0, -12.0, -25.0, -35.0, -39.9, -40.2, -80.0]])
     out = _scaled_e1(xs)
     assert out.dtype == np.float64
     ref = np.array([_mp_scaled_e1(x) for x in xs])
+    assert np.max(np.abs(out - ref) / np.abs(ref)) <= 5e-15
+
+
+def test_scaled_e1_complex_route_matches_mpmath_around_the_switch():
+    # both sides of |z| = 40, where the direct product hands over to the
+    # asymptotic series, at angles up to 3.1 rad from the positive axis
+    angles = np.linspace(-3.1, 3.1, 63)
+    z = np.concatenate([r * np.exp(1j * angles)
+                        for r in (30.0, 32.0, 35.0, 39.9, 40.2, 50.0)])
+    out = _scaled_e1(z)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.exp(mp.mpc(w)) * mp.e1(mp.mpc(w)))
+                        for w in z])
     assert np.max(np.abs(out - ref) / np.abs(ref)) <= 5e-15
 
 
@@ -282,6 +295,34 @@ def test_matrix_h_below_cut_against_mpmath():
                       (0.6, 0.79)):
         ax = matrix_H_on_axis(om, speed, RHO)
         assert np.max(np.abs(ax.value - _mpmath_oracle(om, speed))) <= 1e-13
+
+
+def test_matrix_h_off_the_axis_against_mpmath():
+    # near |lambda| = 6 the integrand's sigma^2 c reaches |z| of 30-40,
+    # where the complex E_1 switches from the direct product to the series
+    for speed, lam in ((0.0, 0.2 + 6.0j), (0.6, 0.1 + 5.9j)):
+        with mp.workdps(20):
+            m, s2 = mp.mpf(RHO.mass), mp.mpf(RHO.sigma) ** 2
+            C = m * mp.mpf(RHO.amplitude) ** 2 * mp.mpf(RHO.sigma) ** 6
+            v, L = mp.mpf(speed), mp.mpc(lam)
+            root = mp.sqrt(L.imag**2 - m * m * (1 - v * v))
+            # split where Re c vanishes, beside the integrand's log spikes
+            pts = [-mp.inf, (v * L.imag - root) / (1 - v * v),
+                   (v * L.imag + root) / (1 - v * v), mp.inf]
+
+            def c_of(k):
+                return k * k + m * m - (v * k - 1j * L) ** 2
+
+            def i0(k):
+                return mp.exp(s2 * c_of(k)) * mp.e1(s2 * c_of(k))
+
+            h11 = mp.quad(lambda k: mp.pi * C * k**2 * mp.exp(-s2 * k**2)
+                          * i0(k), pts)
+            h22 = mp.quad(lambda k: mp.pi * C / 2 * mp.exp(-s2 * k**2)
+                          * (1 / s2 - c_of(k) * i0(k)), pts)
+        ref = np.diag([complex(h11), complex(h22), complex(h22)])
+        H = matrix_H(lam, speed, RHO).value
+        assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_matrix_h_at_the_branch_point_against_mpmath():
