@@ -18,6 +18,7 @@ the energy's coupling term are 1-D contractions of the field with them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field as _field
 
 import numpy as np
@@ -37,6 +38,7 @@ from .spinor_algebra import ChargeDensity, build_dirac_matrices
 from .symplectic_geometry import ProjectionError, project_to_manifold
 
 _DIRAC = build_dirac_matrices()
+_log = logging.getLogger(__name__)
 
 
 class IntegratorError(RuntimeError):
@@ -247,20 +249,23 @@ def simulate(initial: PhaseState, rho: ChargeDensity,
     """Integrate to t_final recording the particle path at every step.
 
     With track_modulation the state is projected onto the solitary
-    manifold every sample_every time units. Each projection is
-    warm-started from the last fit advanced along the manifold's own
-    flow, (b + v dt_s, v), where dt_s = stride * dt is the actual sample
-    interval; the first starts from config.sigma_guess. A projection
-    failure is recorded and tracking stops, the integration itself
-    continues. At every sample, t = 0 included, the field must be
-    finite, or IntegratorError names the sample time. Every
-    field_stride-th sample, t = 0 included, stores the field in position
-    space; right after, on_snapshot(t, Y), when given, is called with the
-    Fourier-space state Y the snapshot was taken from.
+    manifold every dt_s = stride * dt time units, sample_every rounded to
+    whole steps; a WARNING names dt_s when the rounding changes it. Each
+    projection is warm-started from the last fit advanced along the
+    manifold's own flow, (b + v dt_s, v); the first starts from
+    config.sigma_guess. A projection failure is recorded and tracking
+    stops, the integration itself continues. At every sample, t = 0
+    included, the field must be finite, or IntegratorError names the
+    sample time. Every field_stride-th sample, t = 0 included, stores the
+    field in position space; right after, on_snapshot(t, Y), when given,
+    is called with the Fourier-space state Y the snapshot was taken from.
     """
     n_steps = int(round(config.t_final / config.dt))
     stride = sample_stride(config.dt, config.sample_every)
     dt_s = stride * config.dt
+    if not is_whole_multiple(config.sample_every, config.dt):
+        _log.warning("sample_every = %g is not a whole multiple of dt = %g; "
+                     "sampling every %g", config.sample_every, config.dt, dt_s)
 
     Y = initial.to_fourier()
     times = np.empty(n_steps + 1)

@@ -43,9 +43,8 @@ from .phase_space import PhaseState
 from .quadrature import QuadResult, gauss_panels_1d, k_outer_trapezoid_3d
 from .soliton_manifold import momentum_jacobian, soliton_field_hat
 from .spinor_algebra import ChargeDensity
-from .symplectic_geometry import (H_QUAD_ORDER, H_QUAD_PANELS,
-                                  K_QUAD_KMAX_SIGMAS, K_QUAD_NODES,
-                                  _rows, _separable_phase, _state_pairings,
+from .symplectic_geometry import (K_QUAD_KMAX_SIGMAS, K_QUAD_NODES, _rows,
+                                  _separable_phase, _state_pairings,
                                   matrix_K)
 
 # Below this |omega| the pencil is inverted through the factorized block
@@ -57,6 +56,11 @@ FACTORIZED_OMEGA = 1e-6
 # diag(K): computing -L + H and dividing by omega^2 is catastrophic
 # cancellation there, while the limit is exact to O(omega^2).
 F_RATIO_OMEGA = 1e-3
+
+# H's rule (see _h_frame): breakpoints at each log spike p of the E_1
+# integrand and at p +- 30^-j, j = 0..7; 2 Gauss panels of 40 nodes between
+H_QUAD_ORDER, H_QUAD_PANELS = 40, 1    # the error estimate uses 1 panel
+H_SPIKE_OFFSETS = [0.0] + [s * 30.0**-j for s in (1, -1) for j in range(8)]
 
 
 def velocity_frame(v) -> tuple[float, np.ndarray]:
@@ -219,17 +223,19 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
         I_0 = e^{sigma^2 c} E_1(sigma^2 c),   I_1 = 1/sigma^2 - c I_0.
 
     On the imaginary axis, lambda = i w, c = k_1^2 + m^2 - (|v| k_1 + w)^2
-    is real, so I_0 and I_1 are formed in real arithmetic with the real
-    E_1: below the cut (|w| < mu) c > 0 and the integrand is real, and on
-    the cut only the -i pi term below is imaginary. Off the axis c is
-    complex. The value is complex128 on every branch.
+    is real and I_0, I_1 take the real E_1. Below the cut (|w| < mu)
+    c > 0. On the cut (|w| >= mu) the integrand is its limit from
+    Re lambda > 0 (Sokhotski-Plemelj): Im c -> 0 with the sign of
+    |v| k_1 + w, c = (1 - v^2)(k_1 - k_-)(k_1 - k_+) is factored at the cut
+    endpoints k_-+ to keep its relative accuracy between close ones, and
+    where x = sigma^2 c < 0, I_0 = e^x (-Ei(-x) - i pi sign(|v| k_1 + w)).
+    Off the axis c is complex. The value is complex128 on every branch.
 
-    On the cut, lambda = i w with |w| >= mu, the integrand is its limit
-    from Re lambda > 0 (Sokhotski-Plemelj). There c is real, factored as
-    c = (1 - v^2)(k_1 - k_-)(k_1 - k_+) with the cut endpoints k_-+ so
-    that it keeps its relative accuracy between close endpoints, and
-    Im c -> 0 with the sign of |v| k_1 + w. Where x = sigma^2 c < 0,
-    I_0 = e^x (-Ei(-x)) - i pi sign(|v| k_1 + w) e^x.
+    I_0 has log spikes where c vanishes or nearly does: at the cut
+    endpoints of Im lambda when they exist, on or off the axis, else at
+    c's near-double root gamma^2 |v| Im lambda. Each spike p is a
+    breakpoint, as is p +- 30^-j for j = 0..7, so the Gauss panels between
+    them converge geometrically toward it, alike on every branch.
     """
     m = rho.mass
     s2 = rho.sigma**2
@@ -237,6 +243,7 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
     b = lam.imag
     ends = cut_endpoints(b, speed, rho)
     on_cut = ends is not None and lam.real == 0.0
+    shift = b if lam.real == 0.0 else -1j * lam   # real c on the axis
 
     def integrand(k1):
         if on_cut:
@@ -247,10 +254,7 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
             i0[neg] -= 1j * np.pi * np.exp(x[neg]) * np.sign(
                 speed * k1[neg] + b)
         else:
-            if lam.real == 0.0:
-                c = k1**2 + m * m - (speed * k1 + b) ** 2
-            else:
-                c = k1**2 + m * m - (speed * k1 - 1j * lam) ** 2
+            c = k1**2 + m * m - (speed * k1 + shift) ** 2
             i0 = _scaled_e1(s2 * c)
         i1 = 1.0 / s2 - c * i0
         gauss = np.exp(-s2 * k1**2)
@@ -259,17 +263,8 @@ def _h_frame(lam: complex, speed: float, rho: ChargeDensity) -> QuadResult:
 
     gamma2 = 1.0 / (1.0 - speed * speed)
     kmax = K_QUAD_KMAX_SIGMAS / rho.sigma + abs(gamma2 * speed * b)
-    breaks = [gamma2 * speed * b]
-    if ends is not None and abs(lam.real) <= 0.05:
-        # At and near the cut the integrand has log spikes (of width
-        # ~ Re lambda off the axis) at the endpoints; decadal breakpoint
-        # shells let the clustered Gauss panels resolve them.
-        for kc in ends:
-            breaks.append(kc)
-            breaks += [kc + off for off in
-                       (1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
-            breaks += [kc - off for off in
-                       (1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
+    spikes = ends if ends is not None else (gamma2 * speed * b,)
+    breaks = [p + d for p in spikes for d in H_SPIKE_OFFSETS]
     res = gauss_panels_1d(integrand, -kmax, kmax, breakpoints=breaks,
                           order=H_QUAD_ORDER,
                           panels_per_interval=H_QUAD_PANELS)

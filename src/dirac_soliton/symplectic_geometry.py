@@ -30,8 +30,6 @@ from .spinor_algebra import ChargeDensity
 
 K_QUAD_NODES = 96          # pinned trapezoid intervals per axis for K and L
 K_QUAD_KMAX_SIGMAS = 8.0   # box half-width in units of 1/sigma
-H_QUAD_ORDER = 40          # pinned Gauss-Legendre nodes per panel for H
-H_QUAD_PANELS = 8          # H's panels per interval (the value uses 2x)
 
 
 def omega(Y1: PhaseState, Y2: PhaseState) -> float:
@@ -236,8 +234,9 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     sP, sB the spinor sums of conj(dpsi).psi_v_hat and conj(dpsi).B,
     M1 = GridSpec.k_moments and M_v = momentum_jacobian(v). They come from
     scalar comoving sums (_comoving_sums): the spinor index is summed once
-    per projection, and no trial forms a tangent basis or an N^3 phase.
-    Write D = k^2 + m^2 - (v.k)^2, M2 = k_second_moments and
+    per projection, and no trial forms a tangent basis; each forms one N^3
+    array, the phase _separable_phase(e), from 3N exponentials. Write
+    D = k^2 + m^2 - (v.k)^2, M2 = k_second_moments and
     C = M2(Re sum conj(psi_v_hat).B).
 
     Damped Newton on sigma in R^6 with the exact Jacobian, rows r_j and

@@ -144,6 +144,21 @@ def test_simulate_free_particle():
     assert np.max(np.abs(traj.p - traj.p[0])) < 1e-15
 
 
+@pytest.mark.parametrize("sample_every, warns", [(0.25, True),
+                                                  (0.1, False)])
+def test_simulate_warns_when_the_sample_clock_rounds(caplog, sample_every,
+                                                     warns):
+    Y = soliton_state(SolitonParams(np.zeros(3), np.zeros(3)), RHO, GRID)
+    cfg = SimulationConfig(dt=0.02, t_final=0.02, sample_every=sample_every)
+    with caplog.at_level("WARNING", logger="dirac_soliton.coupled_dynamics"):
+        simulate(Y, RHO, cfg)
+    messages = [r.getMessage() for r in caplog.records]
+    if warns:
+        assert len(messages) == 1 and "sampling every 0.24" in messages[0]
+    else:
+        assert not messages
+
+
 def test_simulate_soliton_modulation():
     v = np.array([0.3, 0.0, 0.0])
     Y = soliton_state(SolitonParams(np.zeros(3), v), RHO, GRID)

@@ -300,7 +300,9 @@ def test_matrix_h_below_cut_against_mpmath():
 def test_matrix_h_off_the_axis_against_mpmath():
     # near |lambda| = 6 the integrand's sigma^2 c reaches |z| of 30-40,
     # where the complex E_1 switches from the direct product to the series
-    for speed, lam in ((0.0, 0.2 + 6.0j), (0.6, 0.1 + 5.9j)):
+    # 0.06 + 1.2i: a cut-endpoint spike of width ~ Re lambda, off the axis
+    for speed, lam in ((0.0, 0.2 + 6.0j), (0.6, 0.1 + 5.9j),
+                       (0.6, 0.06 + 1.2j)):
         with mp.workdps(20):
             m, s2 = mp.mpf(RHO.mass), mp.mpf(RHO.sigma) ** 2
             C = m * mp.mpf(RHO.amplitude) ** 2 * mp.mpf(RHO.sigma) ** 6
@@ -365,6 +367,24 @@ def test_matrix_h_cut_against_mpmath_away_from_branch_points():
     ax = matrix_H_on_axis(1.2, 0.6, RHO)
     assert abs(ax.value[0, 0] - H11_AX12) < 1e-6
     assert abs(ax.value[1, 1] - H22_AX12) < 1e-6
+
+
+def test_matrix_h_cut_against_mpmath_to_1e_12():
+    # the graded breakpoints resolve both endpoint spikes, near the branch
+    # point as well as away from it
+    for om in (0.8001, 0.85, 1.2, 2.0, 3.0):
+        ax = matrix_H_on_axis(om, 0.6, RHO)
+        assert np.max(np.abs(ax.value - _mpmath_oracle(om, 0.6))) <= 1e-12
+
+
+def test_matrix_h_below_cut_next_to_the_branch_point():
+    # the default spectral grid's point just inside -mu: c has a
+    # near-double root at gamma^2 |v| w, a log spike of width ~ 3e-8
+    grid = np.linspace(-3.0, 3.0, 121)
+    om = grid[np.argmin(np.abs(grid + 0.8))]
+    assert om == -0.7999999999999998
+    ax = matrix_H_on_axis(om, 0.6, RHO)
+    assert np.max(np.abs(ax.value - _mpmath_oracle(om, 0.6))) <= 1e-8
 
 
 def test_matrix_h_cut_near_branch_point_error_is_honest():
