@@ -484,8 +484,9 @@ def write_run_directory(config: RunConfig, report: dict,
 
     Writes either the trajectory's particle.csv and field snapshots or the
     series (name, header, rows) as one CSV, then the report JSON and
-    manifest.json: package and numpy versions, the full config and the
-    sorted list of exactly those files (no timestamps)."""
+    manifest.json: package and numpy versions, the full config, the
+    sorted list of exactly those files (no timestamps) and, with a
+    trajectory, the snapshot times and the sample interval stride * dt."""
     if config.out_dir is None:
         return
     out = Path(config.out_dir)
@@ -501,6 +502,8 @@ def write_run_directory(config: RunConfig, report: dict,
         files += ["particle.csv", *write_snapshots(out, trajectory)]
         manifest["snapshot_format"] = SNAPSHOT_FORMAT
         manifest["snapshot_times"] = list(map(float, trajectory.field_times))
+        manifest["sample_interval"] = (
+            sample_stride(config.dt, config.sample_every) * config.dt)
     if series is not None:
         name, header, rows = series
         with open(out / name, "w", newline="") as fh:

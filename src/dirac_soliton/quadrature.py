@@ -3,8 +3,9 @@
 One tolerance policy for every closed-form k-integral in the package:
 absolute target 1e-8, with a reported error estimate obtained from grid
 refinement (3D, one k1 slab at a time, never the whole grid) or panel
-doubling (1D). The 1D estimate costs a second, coarse pass (Gauss-Legendre
-panels do not nest), so it is computed only for callers that read
+doubling (1D). A 1D pass calls its integrand once, on every interval's
+nodes. The 1D estimate costs a second, coarse pass (Gauss-Legendre panels
+do not nest), so it is computed only for callers that read
 QuadResult.error. Integrands here all carry the Gaussian factor of the
 Wiener function, so the tensor-product trapezoid rule on
 [-k_max, k_max]^3 converges spectrally once the box covers the Gaussian
@@ -107,8 +108,10 @@ def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
     there). f must accept a 1D node array and may return a stack with the
     node axis last. The value uses 2 * panels_per_interval panels per
     interval; the error estimate, its gap to panels_per_interval panels,
-    runs only when .error is read. A repeated breakpoint counts once, so
-    no empty interval puts nodes onto a singularity.
+    runs only when .error is read. Each pass calls f once, on the nodes of
+    every interval, and adds the interval sums in order, so the result is
+    bit for bit that of one call per interval. A repeated breakpoint counts
+    once, so no empty interval puts nodes onto a singularity.
     """
     pts = [a] + sorted({float(x) for x in breakpoints if a < x < b}) + [b]
     fine = _panel_sum(f, pts, order, 2 * panels_per_interval)
@@ -117,20 +120,20 @@ def gauss_panels_1d(f, a: float, b: float, breakpoints=(), order: int = 40,
 
 
 def _panel_sum(f, pts: list, order: int, nper: int):
-    """The composite rule with nper clustered panels between breakpoints."""
+    """The composite rule with nper clustered panels between breakpoints.
+    The interval sums are added in order (a running sum, not pairwise)."""
     xg, wg = _legendre_rule(order)
-    total = None
-    for lo, hi in zip(pts, pts[1:]):
-        # Geometric clustering toward both interval ends, where the
-        # breakpoint singularities sit.
-        edges = _clustered_edges(lo, hi, nper)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wts = (half[:, None] * wg[None, :]).ravel()
-        contrib = np.sum(f(nodes) * wts, axis=-1)
-        total = contrib if total is None else total + contrib
-    return total
+    # Geometric clustering toward both interval ends, where the breakpoint
+    # singularities sit: one row of panel edges per interval.
+    edges = _clustered_edges(np.array(pts[:-1])[:, None],
+                             np.array(pts[1:])[:, None], nper)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    nodes = (mid[..., None] + half[..., None] * xg).ravel()
+    wts = (half[..., None] * wg).ravel()
+    vals = f(nodes) * wts
+    contrib = vals.reshape(vals.shape[:-1] + (len(edges), -1)).sum(-1)
+    return np.cumsum(contrib, axis=-1)[..., -1]
 
 
 @lru_cache(maxsize=None)
@@ -143,12 +146,13 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
-def _clustered_edges(lo: float, hi: float, n: int) -> np.ndarray:
-    """Panel edges on [lo, hi] geometrically refined toward both ends."""
+def _clustered_edges(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Panel edges on [lo, hi] geometrically refined toward both ends; lo
+    and hi are columns, and each row of the result is one interval's."""
     if n < 4:
-        return np.linspace(lo, hi, n + 1)
+        return np.linspace(lo[:, 0], hi[:, 0], n + 1, axis=-1)
     half = n // 2
     t = 0.5 * (1.0 - np.cos(np.pi * np.arange(half + 1) / half))  # [0,1]
     left = lo + 0.5 * (hi - lo) * t
     right = hi - 0.5 * (hi - lo) * t[::-1]
-    return np.concatenate([left, right[1:]])
+    return np.concatenate([left, right[:, 1:]], axis=-1)

@@ -213,6 +213,22 @@ def test_persistence_outputs_reproduce_bitwise(tmp_path):
     assert header == ("t,q1,q2,q3,p1,p2,p3,vmod1,vmod2,vmod3,znorm,majorant")
 
 
+def test_manifest_records_the_sample_interval_the_clock_kept(tmp_path):
+    # the default clock, sample_every = 0.25 at dt = 0.02, ticks every
+    # round(12.5) = 12 steps, that is every 0.24
+    defaults = RunConfig()
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        run_soliton_persistence(_tiny(dt=defaults.dt, t_final=0.48,
+                                      sample_every=defaults.sample_every,
+                                      out_dir=str(out)))
+    ma, mb = (json.loads((out / "manifest.json").read_text())
+              for out in runs)
+    assert ma["sample_interval"] == 0.24
+    ma["config"].pop("out_dir"), mb["config"].pop("out_dir")
+    assert ma == mb
+
+
 def test_snapshot_layout_roundtrip(tmp_path):
     cfg = _tiny(out_dir=str(tmp_path))
     report = run_soliton_persistence(cfg)

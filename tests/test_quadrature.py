@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_soliton import linearized_spectral, symplectic_geometry
-from dirac_soliton.linearized_spectral import matrix_L
+from dirac_soliton.linearized_spectral import (matrix_H, matrix_H_on_axis,
+                                               matrix_L)
 from dirac_soliton.quadrature import (
     ABS_TOL_TARGET,
     gauss_panels_1d,
@@ -14,7 +15,8 @@ from dirac_soliton.quadrature import (
 )
 from dirac_soliton.spinor_algebra import ChargeDensity
 from dirac_soliton.symplectic_geometry import matrix_K
-from oracles import dense_trapezoid_3d, monte_carlo_gaussian_3d
+from oracles import (dense_trapezoid_3d, gauss_panels_per_interval,
+                     monte_carlo_gaussian_3d)
 
 RHO = ChargeDensity()
 
@@ -144,13 +146,14 @@ def test_gauss_panels_coarse_pass_runs_only_when_error_is_read():
 
     res = gauss_panels_1d(f, 0.0, 10.0, breakpoints=(1.0, 3.0), order=20,
                           panels_per_interval=4)
-    # the value alone is the fine pass: 8 panels of 20 nodes per interval
-    assert nodes == [160] * 3
+    # one call per pass: the value alone is the fine pass, 8 panels of 20
+    # nodes in each of the 3 intervals
+    assert nodes == [480]
     first = res.error
-    assert nodes == [160] * 3 + [80] * 3
+    assert nodes == [480, 240]
     # the estimate is kept, not recomputed
     assert res.error == first
-    assert len(nodes) == 6
+    assert len(nodes) == 2
 
 
 def test_gauss_panels_count_a_repeated_breakpoint_once():
@@ -188,6 +191,69 @@ def test_gauss_panels_integrate_polynomials(a, width, cuts, coeffs, order):
     whole = gauss_panels_1d(p, a, b, order=order)
     assert abs(float(split.value) - exact) <= 1e-12 * exact
     assert abs(float(split.value) - float(whole.value)) <= 1e-12 * exact
+
+
+def _assert_equals_per_interval(args, kwargs):
+    res = gauss_panels_1d(*args, **kwargs)
+    value, error = gauss_panels_per_interval(*args, **kwargs)
+    assert np.array_equal(res.value, value)
+    assert res.error == error
+
+
+@pytest.mark.parametrize("call", [
+    lambda: matrix_H_on_axis(1.2, (0.6, 0.0, 0.0), RHO),
+    lambda: matrix_H_on_axis(0.3, (0.6, 0.0, 0.0), RHO),
+    lambda: matrix_H(0.06 + 1.2j, (0.6, 0.0, 0.0), RHO),
+], ids=["on-cut", "below-cut", "off-axis"])
+def test_gauss_panels_equal_the_per_interval_sum_on_h(monkeypatch, call):
+    # one integrand call per pass, with the interval sums added in order,
+    # is bit for bit the per-interval loop
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append((args, kwargs))
+        return gauss_panels_1d(*args, **kwargs)
+
+    monkeypatch.setattr(linearized_spectral, "gauss_panels_1d", record)
+    call()
+    (args, kwargs), = seen
+    _assert_equals_per_interval(args, kwargs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(a=st.floats(-3.0, 0.0), width=st.floats(0.5, 5.0),
+       cuts=st.lists(st.floats(-0.2, 1.2), max_size=5),
+       repeat=st.integers(0, 3),
+       order=st.integers(5, 24),
+       panels=st.sampled_from([1, 2, 3, 5, 8]),
+       c=st.floats(-1.0, 1.0), stacked=st.booleans())
+def test_gauss_panels_equal_the_per_interval_sum(a, width, cuts, repeat,
+                                                 order, panels, c, stacked):
+    # breakpoints may repeat or fall outside [a, b]
+    b = a + width
+    breaks = [a + t * width for t in cuts] + [a + t * width
+                                              for t in cuts[:repeat]]
+
+    def f(x):
+        y = np.exp(-c * x * x) * np.cos(3.0 * x) + np.log(np.abs(x - c))
+        return np.stack([y, (x + 1j * c) ** 2]) if stacked else y
+
+    _assert_equals_per_interval((f, a, b, breaks),
+                                dict(order=order, panels_per_interval=panels))
+
+
+def test_h_on_the_cut_holds_under_one_megabyte():
+    # one integrand call per pass holds every node of a pass at once: 2,800
+    # on the cut for the value and 1,400 for the estimate
+    omega, v = 1.2, (0.6, 0.0, 0.0)
+    matrix_H_on_axis(omega, v, RHO).error
+    tracemalloc.start()
+    try:
+        matrix_H_on_axis(omega, v, RHO).error
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_monte_carlo_constant_is_exact():
