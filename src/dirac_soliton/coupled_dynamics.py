@@ -336,6 +336,16 @@ V_TAIL_FRACTION = 0.2      # v_plus averages this last fraction of the run
 FIT_UPPER_FRACTION = 0.05  # the qdot fit window ends by this fraction of T
 
 
+def loglog_fit(t, y) -> tuple[float, float, float]:
+    """The least-squares line log y = slope log t + intercept through the
+    samples: (slope, intercept, rms of the log residuals)."""
+    lt, ly = np.log(t), np.log(y)
+    A = np.vstack([lt, np.ones_like(lt)]).T
+    sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    rms = float(np.sqrt(np.mean((ly - A @ sol) ** 2)))
+    return float(sol[0]), float(sol[1]), rms
+
+
 def _loglog_slope(t, y):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -345,9 +355,7 @@ def _loglog_slope(t, y):
         targets = np.geomspace(t[0], t[-1], 64)
         idx = np.unique(np.searchsorted(t, targets).clip(0, t.size - 1))
         t, y = t[idx], y[idx]
-    A = np.vstack([np.log(t), np.ones_like(t)]).T
-    sol, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
-    return float(sol[0])
+    return loglog_fit(t, y)[0]
 
 
 def extract_scattering_data(traj: Trajectory,

@@ -32,6 +32,7 @@ from .coupled_dynamics import (
     Trajectory,
     extract_scattering_data,
     is_whole_multiple,
+    loglog_fit,
     sample_stride,
 )
 from .coupled_dynamics import simulate as _simulate
@@ -194,11 +195,8 @@ def fit_power_law(times, values, window=None) -> FitResult:
             "samples; need at least 10")
     if np.any(t[mask] <= 0) or np.any(y[mask] <= 0):
         raise ValueError("power-law fit needs positive times and values")
-    lt, ly = np.log(t[mask]), np.log(y[mask])
-    A = np.vstack([lt, np.ones_like(lt)]).T
-    sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    rms = float(np.sqrt(np.mean((ly - A @ sol) ** 2)))
-    return FitResult(float(sol[0]), float(sol[1]), (lo, hi), rms)
+    slope, intercept, rms = loglog_fit(t[mask], y[mask])
+    return FitResult(slope, intercept, (lo, hi), rms)
 
 
 def _report_json(report) -> dict:

@@ -41,7 +41,7 @@ from .field_grid import (FOURIER, GridSpec, SpinorField, dirac_symbol,
                          k_second_moments)
 from .phase_space import PhaseState
 from .quadrature import QuadResult, gauss_panels_1d, k_outer_trapezoid_3d
-from .soliton_manifold import momentum_jacobian, soliton_field_hat
+from .soliton_manifold import momentum_jacobian, soliton_frame
 from .spinor_algebra import ChargeDensity
 from .symplectic_geometry import (K_QUAD_KMAX_SIGMAS, K_QUAD_NODES, _rows,
                                   _separable_phase, _state_pairings,
@@ -139,13 +139,9 @@ def linearized_operator(v, w, rho: ChargeDensity,
     w = np.asarray(w, dtype=float)
     if v.shape != (3,) or w.shape != (3,):
         raise ValueError("v and w must be 3-vectors")
-    if float(v @ v) >= 1.0:
-        raise ValueError("|v| must be < 1")
-    rho_hat = rho.fourier(grid.k2)
-    wk = grid.k_dot(w)
-    psi0 = soliton_field_hat(v, rho, grid)[0]
-    coupling = k_second_moments(psi0.real * rho_hat, grid)
-    return LinearizedOperator(rho, grid, rho_hat, wk, coupling,
+    f = soliton_frame(v, rho, grid)          # psi_v_hat_0 = (v.k - m) r
+    coupling = k_second_moments(f.vkm * f.r * f.rho_hat, grid)
+    return LinearizedOperator(rho, grid, f.rho_hat, grid.k_dot(w), coupling,
                               boost_matrix(v))
 
 
@@ -583,12 +579,10 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
     """
     grid = Psi0.grid
     x1, x2 = _real_pair_hat(Psi0)
-    v = np.asarray(v, dtype=float)
-    m = rho.mass
-    vk = grid.k_dot(v)
-    u1 = (x1[0] + 2j * vk * _green_first_row(grid, v, rho, complex(0.0), x1,
-                                              x2)) / (grid.k2 + m * m - vk**2)
-    return 1j * grid.k_moments(u1 * rho.fourier(grid.k2))
+    f = soliton_frame(v, rho, grid)
+    u1 = (x1[0] + 2j * f.vk * _green_first_row(grid, f.v, rho, complex(0.0),
+                                                x1, x2)) / f.den
+    return 1j * grid.k_moments(u1 * f.rho_hat)
 
 
 @dataclass(frozen=True)
@@ -626,7 +620,6 @@ def orthogonality_check(Z0: PhaseState, v, rho: ChargeDensity,
     a difference taken at manifold point (b, v) is recentered by passing
     b. The form side Omega(Z0, tau_j(b, v)) comes from the comoving
     pairings that project_to_manifold and symplectic_orthogonalize read."""
-    v = np.asarray(v, dtype=float)
     Zk = Z0.to_fourier()
     b = np.zeros(3) if b is None else np.asarray(b, dtype=float)
     frame, e, pairings = _state_pairings(Zk, rho)(b, v)

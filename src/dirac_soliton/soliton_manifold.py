@@ -15,6 +15,7 @@ the lab frame is a k-space phase applied by the callers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,31 +67,52 @@ def momentum_jacobian(v) -> np.ndarray:
     return g * np.eye(3) + g**3 * np.outer(v, v)
 
 
+SolitonFrame = namedtuple("SolitonFrame", "grid v rho_hat vk vkm den r")
+
+
+def soliton_frame(v, rho: ChargeDensity, grid: GridSpec,
+                  rho_hat: np.ndarray | None = None) -> SolitonFrame:
+    """The per-v k-grid arrays of psi_v_hat = r (vkm, 0, k_3, k_1 + i k_2):
+    vk = v.k, vkm = v.k - m, den = D and r = rho_hat / D. A caller that
+    already holds rho_hat = rho.fourier(grid.k2) passes it in."""
+    v = np.asarray(v, dtype=float)
+    if np.linalg.norm(v) >= 1.0:
+        raise ValueError("|v| must be < 1")
+    if rho_hat is None:
+        rho_hat = rho.fourier(grid.k2)
+    m = rho.mass
+    vk = grid.k_dot(v)
+    den = grid.k2 + m * m - vk**2
+    return SolitonFrame(grid, v, rho_hat, vk, vk - m, den, rho_hat / den)
+
+
+def write_spinor_shape(out: np.ndarray, w, frame: SolitonFrame, op):
+    """op(out, w (v.k - m, 0, k_3, k_1 + i k_2)) in place, op np.add or
+    np.subtract, on the (4, N, N, N) array out, and return out; subtracting
+    through op needs no negated copy of w."""
+    k1, k2, k3 = frame.grid.k_axes
+    for i, shape in ((0, frame.vkm), (2, k3), (3, k1 + 1j * k2)):
+        op(out[i], w * shape, out=out[i])
+    return out
+
+
+def spinor_shape_pairing(z: np.ndarray, grid: GridSpec):
+    """(u0, u1) with conj(z) . (c, 0, k_3, k_1 + i k_2) = u0 c + u1: z's
+    spinor index summed once, for every first entry c = v.k - m."""
+    k1, k2, k3 = grid.k_axes
+    return z[0].conj(), (z[2] * k3 + z[3] * (k1 - 1j * k2)).conj()
+
+
+def _soliton_hat(frame: SolitonFrame) -> np.ndarray:
+    return write_spinor_shape(np.zeros((4,) + frame.r.shape, dtype=complex),
+                              frame.r, frame, np.add)
+
+
 def soliton_field_hat(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
     """psi_v_hat on the k-grid, shape (4, N, N, N). Since rho_hat e_0 has
     one component, ((v.k) - D(k)) rho_hat e_0 is written out:
     psi_v_hat = rho_hat / D * (v.k - m, 0, k_3, k_1 + i k_2)."""
-    return _soliton_parts(v, rho, grid)[0]
-
-
-def _soliton_parts(v, rho: ChargeDensity, grid: GridSpec):
-    """(psi_v_hat, rho_hat, v.k, D) on the k-grid, for callers that reuse
-    the per-v arrays behind the soliton."""
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) >= 1.0:
-        raise ValueError("|v| must be < 1")
-    m = rho.mass
-    vk = grid.k_dot(v)
-    rho_hat = rho.fourier(grid.k2)
-    den = grid.k2 + m * m - vk**2
-    r = rho_hat / den
-    k1, k2_, k3 = grid.k_axes
-    out = np.empty((4, grid.N, grid.N, grid.N), dtype=complex)
-    out[0] = (vk - m) * r
-    out[1] = 0.0
-    out[2] = k3 * r
-    out[3] = (k1 + 1j * k2_) * r
-    return out, rho_hat, vk, den
+    return _soliton_hat(soliton_frame(v, rho, grid))
 
 
 @dataclass(frozen=True)
@@ -131,12 +153,12 @@ class TangentBasis:
 
 
 def tangent_basis(v, rho: ChargeDensity, grid: GridSpec) -> TangentBasis:
-    v = np.asarray(v, dtype=float)
-    psi_hat, rho_hat, vk, den = _soliton_parts(v, rho, grid)
-    boost = 2.0 * vk * psi_hat
-    boost[0] += rho_hat
-    boost /= den
-    return TangentBasis(grid, v, psi_hat, boost, *_particle_parts(v))
+    f = soliton_frame(v, rho, grid)
+    psi_hat = _soliton_hat(f)
+    boost = 2.0 * f.vk * psi_hat
+    boost[0] += f.rho_hat
+    boost /= f.den
+    return TangentBasis(grid, f.v, psi_hat, boost, *_particle_parts(f.v))
 
 
 def _particle_parts(v) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +176,13 @@ def soliton_state(params: SolitonParams, rho: ChargeDensity,
 
 
 def force_balance(v, rho: ChargeDensity, grid: GridSpec) -> np.ndarray:
-    """Re <psi_v, grad rho> on the grid; vanishes for the exact soliton."""
+    """Re <psi_v, grad rho> on the grid, zero by construction: psi_v_hat_0
+    = (v.k - m) rho_hat / D and rho_hat are real, so every term of
+    Im sum k psi_hat_0 rho_hat is 0. coupled_dynamics.force on
+    soliton_state(b, v) is the figure that can fail."""
     # <psi, d_j rho> = Re sum conj(psi_hat_0) (-i k_j) rho_hat dk^3
-    psi0 = soliton_field_hat(v, rho, grid)[0]
-    return grid.k_moments(psi0.conj() * rho.fourier(grid.k2)).imag
+    f = soliton_frame(v, rho, grid)
+    return grid.k_moments(f.vkm * f.r * f.rho_hat).imag
 
 
 def _stationary_residual(psi_hat: np.ndarray, v, rho: ChargeDensity,

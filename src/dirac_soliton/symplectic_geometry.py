@@ -19,12 +19,16 @@ from .field_grid import FOURIER, GridSpec, SpinorField, k_second_moments
 from .phase_space import PhaseState
 from .quadrature import QuadResult, k_outer_trapezoid_3d
 from .soliton_manifold import (
+    SolitonFrame,
     SolitonParams,
     TangentBasis,
     _particle_parts,
+    soliton_frame,
     soliton_momentum,
+    spinor_shape_pairing,
     tangent_basis,
     velocity_from_momentum,
+    write_spinor_shape,
 )
 from .spinor_algebra import ChargeDensity
 
@@ -42,23 +46,19 @@ def omega(Y1: PhaseState, Y2: PhaseState) -> float:
     return field_part + float(Y1.q @ Y2.p - Y1.p @ Y2.q)
 
 
-# the tangent space at velocity v in scalar k-grid fields: vk = v.k,
-# vkm = v.k - m, den = D and r = rho_hat / D, so psi_v_hat = r (vkm, 0, k_3,
-# k_1 + i k_2) and B = (rho_hat e_0 + 2 vk psi_v_hat) / D; cP and cB are the
-# spinor sums |psi_v_hat|^2 and conj(psi_v_hat).B, gram is Omega(tau_l, tau_j)
-_Frame = namedtuple("_Frame", "grid v q_parts p_parts vk vkm den r cP cB gram")
+# the tangent space at velocity v: the soliton frame's fields, and cP and
+# cB, the spinor sums |psi_v_hat|^2 and conj(psi_v_hat).B with
+# B = (rho_hat e_0 + 2 vk psi_v_hat) / D; gram is Omega(tau_l, tau_j)
+_Frame = namedtuple("_Frame", SolitonFrame._fields
+                    + ("q_parts", "p_parts", "cP", "cB", "gram"))
 
 
-def _frame(v, rho_hat: np.ndarray, grid: GridSpec, m: float) -> _Frame:
-    vk = grid.k_dot(v)
-    vkm = vk - m
-    den = grid.k2 + m * m - vk**2
-    r = rho_hat / den
-    cP = r**2 * (vkm**2 + grid.k2)
-    cB = (vkm * r * rho_hat + 2.0 * vk * cP) / den
-    parts = _particle_parts(v)
-    return _Frame(grid, v, *parts, vk, vkm, den, r, cP, cB,
-                  _gram(k_second_moments(cB, grid), *parts))
+def _frame(s: SolitonFrame) -> _Frame:
+    cP = s.r**2 * (s.vkm**2 + s.grid.k2)
+    cB = (s.vkm * s.r * s.rho_hat + 2.0 * s.vk * cP) / s.den
+    parts = _particle_parts(s.v)
+    return _Frame(*s, *parts, cP, cB,
+                  _gram(k_second_moments(cB, s.grid), *parts))
 
 
 def omega_matrix_grid(tb: TangentBasis) -> np.ndarray:
@@ -98,13 +98,11 @@ def _state_pairings(Yk: PhaseState, rho: ChargeDensity):
     conj(e^{-ik.b} psi_hat) with psi_v_hat and B, so Omega(Y, tau_j(b, v))
     = _rows(frame, pairings, q, p), and e, the (3, N) factors of e^{ik.b}.
     The spinor index of conj(psi_hat) is summed once, into u0 and u1."""
-    grid, m, rho_hat = Yk.grid, rho.mass, rho.fourier(Yk.grid.k2)
-    k1, k2, k3 = grid.k_axes
-    u0 = Yk.psi.data[0].conj()
-    u1 = (Yk.psi.data[2] * k3 + Yk.psi.data[3] * (k1 - 1j * k2)).conj()
+    grid, rho_hat = Yk.grid, rho.fourier(Yk.grid.k2)
+    u0, u1 = spinor_shape_pairing(Yk.psi.data, grid)
 
     def at(b, v):
-        f = _frame(v, rho_hat, grid, m)
+        f = _frame(soliton_frame(v, rho, grid, rho_hat))
         aP = (u0 * f.vkm + u1) * f.r
         aB = (u0 * rho_hat + 2.0 * f.vk * aP) / f.den
         e = np.exp(1j * np.multiply.outer(b, grid.k1d))
@@ -307,22 +305,12 @@ def project_to_manifold(Y: PhaseState, rho: ChargeDensity,
     params = SolitonParams(b, v)
     # Z = Yk - S(sigma) from the final trial's arrays: the soliton field
     # e^{ik.b} psi_v_hat is phase r (v.k - m, 0, k_3, k_1 + i k_2)
-    z = _subtract_spinor(np.array(Yk.psi.data, dtype=complex),
-                         _separable_phase(e) * frame.r, frame)
+    z = write_spinor_shape(np.array(Yk.psi.data, dtype=complex),
+                           _separable_phase(e) * frame.r, frame, np.subtract)
     Z = PhaseState(SpinorField(Yk.grid, z, FOURIER), Yk.q - b,
                    Yk.p - params.p_v)
     return ProjectionResult(params=params, Z=Z, residuals=r, iterations=it,
                             converged=converged)
-
-
-def _subtract_spinor(z: np.ndarray, w: np.ndarray, f: _Frame) -> np.ndarray:
-    """z -= w (v.k - m, 0, k_3, k_1 + i k_2) in place and return z: w times
-    the spinor shape of psi_v_hat = r (v.k - m, 0, k_3, k_1 + i k_2)."""
-    k1, k2, k3 = f.grid.k_axes
-    z[0] -= w * f.vkm
-    z[2] -= w * k3
-    z[3] -= w * (k1 + 1j * k2)
-    return z
 
 
 def symplectic_orthogonalize(Z: PhaseState, v, rho: ChargeDensity,
@@ -341,8 +329,9 @@ def symplectic_orthogonalize(Z: PhaseState, v, rho: ChargeDensity,
     c = np.linalg.solve(f.gram.T, _rows(f, pairings, Zk.q, Zk.p))
     kb, kv = f.grid.k_dot(c[:3]), f.grid.k_dot(c[3:])
     w = _separable_phase(e) * f.r
-    z = _subtract_spinor(np.array(Zk.psi.data, dtype=complex),
-                         w * (1j * kb + 2.0 * f.vk * kv / f.den), f)
+    z = write_spinor_shape(np.array(Zk.psi.data, dtype=complex),
+                           w * (1j * kb + 2.0 * f.vk * kv / f.den), f,
+                           np.subtract)
     z[0] -= w * kv
     return PhaseState(SpinorField(f.grid, z, FOURIER), Zk.q - c @ f.q_parts,
                       Zk.p - c @ f.p_parts)

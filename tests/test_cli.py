@@ -73,6 +73,25 @@ def test_soliton_subcommand_passes_check(tmp_path, capsys):
     assert report["velocity_drift"] <= 1e-4
 
 
+def test_soliton_check_reads_the_production_force(tmp_path, capsys):
+    # the force gate takes coupled_dynamics.force on S(b, v) with b != 0,
+    # not the force_balance that is zero by construction
+    from dirac_soliton.coupled_dynamics import force
+    from dirac_soliton.field_grid import GridSpec
+    from dirac_soliton.soliton_manifold import SolitonParams, soliton_state
+    from dirac_soliton.spinor_algebra import ChargeDensity
+
+    cfg = _write(tmp_path, TINY + "b = 0.37 -1.2 2.5\n")
+    assert main(["--config", cfg, "--check", "soliton"]) == EXIT_OK
+    report = _json_out(capsys)
+    grid, rho = GridSpec(20.0, 16), ChargeDensity()
+    S = soliton_state(SolitonParams([0.37, -1.2, 2.5], [0.3, 0.0, 0.0]), rho,
+                      grid)
+    assert report["force_balance"] == float(np.linalg.norm(
+        force(S.psi.data, grid, rho, S.q)))
+    assert report["force_balance"] <= 1e-8
+
+
 def test_project_subcommand(tmp_path, capsys):
     cfg = _write(tmp_path, TINY + "\nepsilon = 0.05\n")
     text = cfg  # keep tiny config, switch initial type

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dirac_soliton.coupled_dynamics import force
 from dirac_soliton.field_grid import GridSpec, dirac_symbol
 from dirac_soliton.soliton_manifold import (
     SolitonParams,
@@ -88,6 +89,19 @@ def test_force_balance():
         assert np.max(np.abs(f)) <= 1e-8
 
 
+def test_production_force_on_the_soliton_can_fail():
+    # force_balance is zero by construction (psi_v_hat_0 and rho_hat are
+    # real); the stepper's force on the lab-frame soliton S(b, v), b != 0,
+    # is zero only to rounding, and moves off zero when q leaves b
+    b = np.array([0.37, -1.2, 2.5])
+    heavy = ChargeDensity(amplitude=1.3, sigma=0.9, mass=2.0)
+    for v, rho in (([0.6, 0, 0], RHO), ([0.2, -0.3, 0.4], RHO),
+                   ([-0.6, 0.0, 0.5], heavy)):
+        S = soliton_state(SolitonParams(b, v), rho, GRID)
+        assert np.linalg.norm(force(S.psi.data, GRID, rho, S.q)) <= 1e-8
+        assert np.linalg.norm(force(S.psi.data, GRID, rho, b + 0.01)) > 1e-8
+
+
 def test_residual_spectral_convergence():
     # Honest discretization error, measured on the next finer grid. On the
     # L=80 production box the N=32 -> N=64 drop is about 14x (frozen below);
@@ -142,6 +156,27 @@ def test_tangent_basis_matches_the_two_pass_route_bit_for_bit():
         psi_hat, boost = _tangent_fields_two_pass(v, rho, GRID)
         assert np.array_equal(bits(tb.soliton_hat), bits(psi_hat))
         assert np.array_equal(bits(tb.boost_hat), bits(boost))
+
+
+def test_soliton_field_hat_is_the_closed_form_bit_for_bit():
+    # psi_v_hat = rho_hat / D (v.k - m, 0, k_3, k_1 + i k_2) written inline,
+    # D = |k|^2 + m^2 - (v.k)^2
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    k1, k2, k3 = GRID.k_axes
+    heavy = ChargeDensity(amplitude=1.3, sigma=0.9, mass=2.0)
+    for v, rho in (([0.3, -0.2, 0.1], RHO), ([0.0, 0.0, 0.0], RHO),
+                   ([-0.6, 0.0, 0.5], heavy)):
+        m = rho.mass
+        vk = GRID.k_dot(np.asarray(v, dtype=float))
+        r = rho.fourier(GRID.k2) / (GRID.k2 + m * m - vk**2)
+        want = np.zeros((4, GRID.N, GRID.N, GRID.N), dtype=complex)
+        want[0] = (vk - m) * r
+        want[2] = k3 * r
+        want[3] = (k1 + 1j * k2) * r
+        assert np.array_equal(bits(soliton_field_hat(v, rho, GRID)),
+                              bits(want))
 
 
 def test_tangent_basis_carries_two_spinor_fields_only():
