@@ -14,6 +14,10 @@ moving source never touches the grid as an interpolation, only as the
 phase e^{i k.q} on rho_hat, and since the Gaussian separates, the source
 is three 1-D factors (ChargeDensity.fourier_factors) and the force and
 the energy's coupling term are 1-D contractions of the field with them.
+The field's flight and the source's run on two threads, the caller's and
+one worker's, each writing its own half of the output elementwise; the
+force pairings and every other reduction run on the calling thread, so a
+step's result does not depend on the thread count.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ machinery, plus the shared pieces of harness:
 
 write_run_directory persists every run to a directory with a JSON manifest
 that holds the full configuration and seeds; re-running a manifest
-reproduces particle.csv bit for bit (the integrator and its reductions are
-single-threaded deterministic numpy code).
+reproduces particle.csv bit for bit: every reduction of the integrator runs
+on one thread, and the two halves of the Dirac kernel, which run on two,
+write separate outputs elementwise.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ Parseval identity h^3 sum|f|^2 = dk^3 sum|f_hat|^2 is exact.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -187,6 +189,45 @@ def zero_field(grid: GridSpec, space: str = POSITION) -> SpinorField:
                                       dtype=complex), space)
 
 
+def _new_worker() -> None:
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1)
+
+
+# The one worker thread that runs half of each Dirac kernel and source
+# flight. It starts on the first submit, not at import. A forked child
+# inherits the executor but not its thread, and its first submit would
+# wait forever, so the child gets a fresh executor.
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _on_two_threads(half, ours: tuple, theirs: tuple) -> None:
+    """half(*ours) on the calling thread while the worker runs
+    half(*theirs). The halves write separate outputs. half calls numpy
+    ufuncs only, never a package function that a tracer may wrap: a span
+    opened on the worker would land in the caller's span stack. Reductions
+    stay with the caller. An error in either half is raised once both
+    halves have stopped."""
+    future = _worker.submit(half, *theirs)
+    try:
+        half(*ours)
+    finally:
+        wait((future,))
+    future.result()
+
+
+def _block_half(out, own, other, a, kappa, k_pairs, tmp) -> None:
+    """One pair of the block form, out = a own + kappa i(sigma.k) other,
+    built in place component by component through the N^3 buffer tmp."""
+    for j, (k_a, k_b) in enumerate(k_pairs):
+        o = out[j]
+        np.multiply(other[0], k_a, out=o)
+        o += np.multiply(other[1], k_b, out=tmp)
+        o *= kappa
+        o += np.multiply(own[j], a, out=tmp)
+
+
 def _block_symbol(data: np.ndarray, grid: GridSpec, a_u, a_d,
                   kappa) -> np.ndarray:
     """The 2x2-block kernel behind every Dirac multiplier. On shape-(4,N,N,N)
@@ -194,20 +235,19 @@ def _block_symbol(data: np.ndarray, grid: GridSpec, a_u, a_d,
         (a_u u + kappa i(sigma.k) d, a_d d + kappa i(sigma.k) u),
     with sigma.k = [[k3, k1 - i k2], [k1 + i k2, -k3]]; the coefficients are
     scalars or arrays that broadcast against the k-grid. The factor i rides
-    on the k factors; each component is built in place with one N^3 buffer."""
+    on the k factors; each component is built in place. The calling thread
+    forms the upper pair and the worker the lower pair, each with its own
+    N^3 buffer of one (2,N,N,N) scratch array owned by the caller, so the
+    worker allocates no grid-sized memory."""
     k = grid.k1d
     ik3, ikm, ikp = 1j * k, (1j * k[:, None] + k)[..., None], \
         (1j * k[:, None] - k)[..., None]
+    k_pairs = ((ik3, ikm), (ikp, -ik3))
     out = np.empty(data.shape, dtype=complex)
-    tmp = np.empty(data.shape[1:], dtype=complex)
-    for half, a, own, other in ((0, a_u, data[:2], data[2:]),
-                                (2, a_d, data[2:], data[:2])):
-        for j, (k_a, k_b) in enumerate(((ik3, ikm), (ikp, -ik3))):
-            o = out[half + j]
-            np.multiply(other[0], k_a, out=o)
-            o += np.multiply(other[1], k_b, out=tmp)
-            o *= kappa
-            o += np.multiply(own[j], a, out=tmp)
+    tmp = np.empty((2,) + data.shape[1:], dtype=complex)
+    _on_two_threads(_block_half,
+                    (out[:2], data[:2], data[2:], a_u, kappa, k_pairs, tmp[0]),
+                    (out[2:], data[2:], data[:2], a_d, kappa, k_pairs, tmp[1]))
     return out
 
 
@@ -252,6 +292,15 @@ def _free_multiplier(grid: GridSpec, t: float,
     return a_u, s
 
 
+def _source_rows(parts, rows: slice, tmp) -> None:
+    """Adds coef f12 f3 into the k_1 rows `rows` of each target, through
+    tmp, those rows' buffer."""
+    for coef, f12, f3, target in parts:
+        np.multiply(coef[rows], f12[rows], out=tmp)
+        tmp *= f3
+        target[rows] += tmp
+
+
 def free_propagate(psi: SpinorField | SeparableSource, t: float, m: float,
                    add_to: SpinorField | None = None) -> SpinorField:
     """Exact free Dirac propagator W0(t) as a Fourier multiplier.
@@ -266,7 +315,8 @@ def free_propagate(psi: SpinorField | SeparableSource, t: float, m: float,
 
     A SeparableSource f e_0 flies as f (a_u, 0, i s k_3, i s k_+): its three
     components are formed from the 1-D factors and added in place into
-    add_to, a Fourier field on its grid that the caller owns.
+    add_to, a Fourier field on its grid that the caller owns. The calling
+    thread adds the first half of the k_1 rows and the worker the second.
     """
     a_u, s = _free_multiplier(psi.grid, float(t), float(m))
     if not isinstance(psi, SeparableSource):
@@ -278,12 +328,14 @@ def free_propagate(psi: SpinorField | SeparableSource, t: float, m: float,
     if add_to is None or add_to.space != FOURIER or add_to.grid != psi.grid:
         raise ValueError("a source flies into a Fourier field on its grid")
     k, (f1, f2, f3) = psi.grid.k1d, psi.factors
-    f12, tmp = np.multiply.outer(f1, f2), np.empty(a_u.shape, dtype=complex)
-    for c, coef, k12, k3 in ((0, a_u, 1.0, 1.0), (2, s, 1.0, 1j * k),
-                             (3, s, 1j * k[:, None] - k, 1.0)):
-        np.multiply(coef, (k12 * f12)[..., None], out=tmp)
-        tmp *= k3 * f3
-        add_to.data[c] += tmp
+    f12 = np.multiply.outer(f1, f2)
+    parts = tuple((coef, (k12 * f12)[..., None], k3 * f3, add_to.data[c])
+                  for c, coef, k12, k3 in ((0, a_u, 1.0, 1.0),
+                                           (2, s, 1.0, 1j * k),
+                                           (3, s, 1j * k[:, None] - k, 1.0)))
+    tmp, half = np.empty(a_u.shape, dtype=complex), psi.grid.N // 2
+    _on_two_threads(_source_rows, (parts, slice(None, half), tmp[:half]),
+                    (parts, slice(half, None), tmp[half:]))
     return add_to
 
 

@@ -566,9 +566,9 @@ def phi_lambda(Psi0: SpinorField, lam, v, rho: ChargeDensity) -> np.ndarray:
     single-component charge). The real pair Psi0_1, Psi0_2 is split in
     k-space, so a Fourier-space Psi0 costs no FFT."""
     grid = Psi0.grid
-    t1 = -_green_first_row(grid, np.asarray(v, dtype=float), rho,
-                           complex(lam), *_real_pair_hat(Psi0))
-    return 1j * grid.k_moments(t1 * rho.fourier(grid.k2))
+    return _phi_of_row(grid, rho, _green_first_row(
+        grid, np.asarray(v, dtype=float), rho, complex(lam),
+        *_real_pair_hat(Psi0)))
 
 
 def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
@@ -577,12 +577,23 @@ def phi_prime_zero(Psi0: SpinorField, v, rho: ChargeDensity) -> np.ndarray:
         Phi'(0)_j = -< [Psi0_1 + 2 i v.k (G0^11 Psi0_1 + G0^12 Psi0_2)]
                        / (|k|^2 + m^2 - (v.k)^2), i k_j rho_1 >.
     """
-    grid = Psi0.grid
     x1, x2 = _real_pair_hat(Psi0)
-    f = soliton_frame(v, rho, grid)
-    u1 = (x1[0] + 2j * f.vk * _green_first_row(grid, f.v, rho, complex(0.0),
-                                                x1, x2)) / f.den
-    return 1j * grid.k_moments(u1 * f.rho_hat)
+    f = soliton_frame(v, rho, Psi0.grid)
+    return _phi_prime_of_row(f, x1[0], _green_first_row(f.grid, f.v, rho,
+                                                        complex(0.0), x1, x2))
+
+
+def _phi_of_row(grid: GridSpec, rho: ChargeDensity, row: np.ndarray):
+    """Phi(lambda) from the Green first row at lambda."""
+    return 1j * grid.k_moments(-row * rho.fourier(grid.k2))
+
+
+def _phi_prime_of_row(f, x1_0: np.ndarray, row0: np.ndarray):
+    """Phi'(0) from the real pair's first component x1_0 and the Green
+    first row at lambda = 0, both for the same field; f is the soliton
+    frame at v."""
+    return 1j * f.grid.k_moments((x1_0 + 2j * f.vk * row0) / f.den
+                                 * f.rho_hat)
 
 
 @dataclass(frozen=True)
@@ -619,14 +630,18 @@ def orthogonality_check(Z0: PhaseState, v, rho: ChargeDensity,
     The functionals are built around the soliton centered at the origin;
     a difference taken at manifold point (b, v) is recentered by passing
     b. The form side Omega(Z0, tau_j(b, v)) comes from the comoving
-    pairings that project_to_manifold and symplectic_orthogonalize read."""
+    pairings that project_to_manifold and symplectic_orthogonalize read.
+    Phi(0) and Phi'(0) share one real-pair split, one Green row at
+    lambda = 0 and the pairings' soliton frame."""
     Zk = Z0.to_fourier()
     b = np.zeros(3) if b is None else np.asarray(b, dtype=float)
     frame, e, pairings = _state_pairings(Zk, rho)(b, v)
     rows = _rows(frame, pairings, Zk.q, Zk.p)
     psi = SpinorField(Zk.grid, _separable_phase(e).conj() * Zk.psi.data,
                       FOURIER)                     # e^{-ik.b} psi_hat
-    phi0 = phi_lambda(psi, 0.0, v, rho)
-    phi1 = phi_prime_zero(psi, v, rho)
+    x1, x2 = _real_pair_hat(psi)
+    row0 = _green_first_row(Zk.grid, frame.v, rho, complex(0.0), x1, x2)
+    phi0 = _phi_of_row(Zk.grid, rho, row0)
+    phi1 = _phi_prime_of_row(frame, x1[0], row0)
     return OrthogonalityCheck(phi0 + Zk.p, phi1 + momentum_jacobian(v) @ Zk.q,
                               -rows[:3], rows[3:])

@@ -2,7 +2,8 @@
 path: a position-space soliton by Green-kernel quadrature, a Monte-Carlo
 Gaussian integral, the dense alpha.k product, the grid-consistency form
 of the stationary residual, the real pair by the FFT round trip, the
-allocating transforms, the Omega rows against a full tangent basis, the
+allocating transforms, the Dirac block kernel and the source flight on
+one thread, the Omega rows against a full tangent basis, the
 tensor trapezoid on the whole grid at once, the Gauss panel sum one
 interval at a time, and the phi_+ estimates and
 persistence errors taken after a run from its position-space snapshots."""
@@ -13,7 +14,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from dirac_soliton.field_grid import (FOURIER, POSITION, GridSpec,
-                                      SpinorField, free_propagate)
+                                      SeparableSource, SpinorField,
+                                      _free_multiplier, free_propagate)
 from dirac_soliton.phase_space import PhaseState
 from dirac_soliton.soliton_manifold import (SolitonParams, TangentBasis,
                                             _stationary_residual,
@@ -115,6 +117,44 @@ def apply_alpha_dot_k(data: np.ndarray, grid: GridSpec,
     out = np.tensordot(d.alpha1, data, axes=(1, 0)) * k1
     out += np.tensordot(d.alpha2, data, axes=(1, 0)) * k2_
     out += np.tensordot(d.alpha3, data, axes=(1, 0)) * k3
+    return out
+
+
+def block_symbol_serial(data: np.ndarray, grid: GridSpec, a_u, a_d,
+                        kappa) -> np.ndarray:
+    """field_grid._block_symbol on one thread: both 2x2 halves one after
+    the other, with one N^3 buffer. Every component is built by the same
+    ufuncs in the same order, so the results must agree bit for bit."""
+    k = grid.k1d
+    ik3, ikm, ikp = 1j * k, (1j * k[:, None] + k)[..., None], \
+        (1j * k[:, None] - k)[..., None]
+    out = np.empty(data.shape, dtype=complex)
+    tmp = np.empty(data.shape[1:], dtype=complex)
+    for half, a, own, other in ((0, a_u, data[:2], data[2:]),
+                                (2, a_d, data[2:], data[:2])):
+        for j, (k_a, k_b) in enumerate(((ik3, ikm), (ikp, -ik3))):
+            o = out[half + j]
+            np.multiply(other[0], k_a, out=o)
+            o += np.multiply(other[1], k_b, out=tmp)
+            o *= kappa
+            o += np.multiply(own[j], a, out=tmp)
+    return out
+
+
+def source_flight_serial(src: SeparableSource, t: float, m: float,
+                         add_to: np.ndarray) -> np.ndarray:
+    """The flight of a SeparableSource f e_0, f (a_u, 0, i s k_3, i s k_+),
+    added into a copy of the Fourier data add_to, one whole component at
+    a time on one thread."""
+    a_u, s = _free_multiplier(src.grid, float(t), float(m))
+    k, (f1, f2, f3) = src.grid.k1d, src.factors
+    out = add_to.copy()
+    f12, tmp = np.multiply.outer(f1, f2), np.empty(a_u.shape, dtype=complex)
+    for c, coef, k12, k3 in ((0, a_u, 1.0, 1.0), (2, s, 1.0, 1j * k),
+                             (3, s, 1j * k[:, None] - k, 1.0)):
+        np.multiply(coef, (k12 * f12)[..., None], out=tmp)
+        tmp *= k3 * f3
+        out[c] += tmp
     return out
 
 

@@ -1,14 +1,22 @@
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirac_soliton import field_grid
 from dirac_soliton.field_grid import (
     FOURIER,
     POSITION,
     GridSpec,
+    SeparableSource,
     SpinorField,
+    _block_symbol,
     _free_multiplier,
     dirac_symbol,
     free_propagate,
@@ -23,6 +31,8 @@ from dirac_soliton.field_grid import (
 from dirac_soliton.spinor_algebra import build_dirac_matrices
 from oracles import (
     apply_alpha_dot_k,
+    block_symbol_serial,
+    source_flight_serial,
     to_fourier_allocating,
     to_position_allocating,
 )
@@ -301,6 +311,120 @@ def test_free_multiplier_memo_is_exact_and_read_only(grid, m, t, t_other,
     for cached in _free_multiplier(grid, t, m):
         with pytest.raises(ValueError):
             cached[(0,) * 3] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# The block kernel and the source flight on two threads: the one-thread
+# oracle's bits, for every caller, after a failed call and after a fork.
+# ---------------------------------------------------------------------------
+
+KERNEL_GRIDS = st.builds(GridSpec, L=st.floats(1.0, 100.0),
+                         N=st.sampled_from([2, 4, 8, 16]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=KERNEL_GRIDS, m=MASSES, t=TIMES, seed=SEEDS)
+def test_block_kernel_equals_the_serial_oracle(grid, m, t, seed):
+    # scalar coefficients as in dirac_symbol, arrays as in free_propagate
+    data = _spinor_data(grid, seed)
+    a_u, s = _free_multiplier(grid, t, m)
+    for coefs in ((m, -m, 1j), (a_u, a_u.conj(), s)):
+        assert np.array_equal(_block_symbol(data, grid, *coefs),
+                              block_symbol_serial(data, grid, *coefs))
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid=KERNEL_GRIDS, m=MASSES, t=TIMES, seed=SEEDS)
+def test_source_flight_equals_the_serial_oracle(grid, m, t, seed):
+    rng = np.random.default_rng(seed)
+    src = SeparableSource(grid, tuple(
+        rng.normal(size=grid.N) + 1j * rng.normal(size=grid.N)
+        for _ in range(3)))
+    base = _spinor_data(grid, seed)
+    got = free_propagate(src, t, m,
+                         add_to=SpinorField(grid, base.copy(), FOURIER))
+    assert np.array_equal(got.data, source_flight_serial(src, t, m, base))
+
+
+def test_concurrent_callers_each_get_the_serial_bits():
+    # four callers, more than a two-core machine has cores, share the one
+    # worker, with a short switch interval to interleave them finely
+    grid, calls = GridSpec(20.0, 16), 40
+    a_u, s = _free_multiplier(grid, 0.7, 1.0)
+    cases = [_spinor_data(grid, seed) for seed in range(4)]
+    wants = [block_symbol_serial(d, grid, a_u, a_u.conj(), s) for d in cases]
+    equal = []
+
+    def run(data, want):
+        for _ in range(calls):
+            equal.append(np.array_equal(
+                _block_symbol(data, grid, a_u, a_u.conj(), s), want))
+
+    threads = [threading.Thread(target=run, args=pair)
+               for pair in zip(cases, wants)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(equal) == len(cases) * calls and all(equal)
+
+
+class _RecordingWorker:
+    def __init__(self, worker):
+        self.worker, self.futures = worker, []
+
+    def submit(self, *args):
+        self.futures.append(self.worker.submit(*args))
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failed_half_raises_once_both_halves_stopped(monkeypatch, failing):
+    # a coefficient of shape (3,) broadcasts against no k-grid; the lower
+    # pair, a_d's, is the worker's half
+    grid = GridSpec(20.0, 32)
+    data = _spinor_data(grid, 1)
+    a_u, s = _free_multiplier(grid, 0.3, 1.0)
+    bad = np.ones(3)
+    coefs = (a_u, bad) if failing == "worker" else (bad, a_u.conj())
+    recording = _RecordingWorker(field_grid._worker)
+    monkeypatch.setattr(field_grid, "_worker", recording)
+    with pytest.raises(ValueError, match="broadcast"):
+        _block_symbol(data, grid, *coefs, s)
+    assert len(recording.futures) == 1 and recording.futures[0].done()
+    assert np.array_equal(_block_symbol(data, grid, a_u, a_u.conj(), s),
+                          block_symbol_serial(data, grid, a_u, a_u.conj(), s))
+
+
+def test_a_forked_child_runs_the_kernel():
+    # the child inherits the executor but not its running thread
+    grid = GridSpec(20.0, 8)
+    psi = _fourier_field(grid, 5)
+    a_u, s = _free_multiplier(grid, 0.4, 1.0)
+    want = block_symbol_serial(psi.data, grid, a_u, a_u.conj(), s)
+    free_propagate(psi, 0.4, 1.0)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = int(not np.array_equal(free_propagate(psi, 0.4, 1.0).data,
+                                          want))
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 \
+            and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _random_data(n, seed):

@@ -44,7 +44,8 @@ from dirac_soliton.soliton_manifold import (
     tangent_basis,
 )
 from dirac_soliton.spinor_algebra import ChargeDensity, build_dirac_matrices
-from dirac_soliton.symplectic_geometry import omega, project_to_manifold
+from dirac_soliton.symplectic_geometry import (_separable_phase, omega,
+                                               project_to_manifold)
 from oracles import monte_carlo_gaussian_3d
 
 RHO = ChargeDensity()
@@ -798,6 +799,22 @@ def test_phi_prime_matches_finite_difference():
     closed = phi_prime_zero(psi, v, RHO)
     scale = np.max(np.abs(closed))
     assert np.max(np.abs(fd - closed)) < 1e-10 * scale
+
+
+def test_orthogonality_check_equals_the_functionals_called_alone():
+    # the check shares one real-pair split and one Green row at lambda = 0
+    # between Phi(0) and Phi'(0); its fields keep the functionals' bits
+    grid = GridSpec(20.0, 16)
+    for seed, b in ((5, np.zeros(3)), (6, np.array([0.9, -0.4, 0.3]))):
+        Zk = _random_state(grid, seed)
+        chk = orthogonality_check(Zk, V6, RHO, b=b)
+        phase = _separable_phase(np.exp(1j * np.multiply.outer(b, grid.k1d)))
+        psi = SpinorField(grid, phase.conj() * Zk.psi.data, FOURIER)
+        assert np.array_equal(chk.functional_translations,
+                              phi_lambda(psi, 0.0, V6, RHO) + Zk.p)
+        assert np.array_equal(chk.functional_boosts,
+                              phi_prime_zero(psi, V6, RHO)
+                              + momentum_jacobian(V6) @ Zk.q)
 
 
 def test_orthogonality_trivial_field():
